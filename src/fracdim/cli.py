@@ -6,13 +6,16 @@ string such as ``petersen`` or ``unicyclic_d(2,3)``.  Values print as exact
 rationals "p/q"; ``--decimal`` adds a clearly marked approximation.
 
 Exit codes: 0 success (verify: all checks passed), 1 failed verify checks,
-2 bad input, 3 internal invariant violation.
+2 bad input, 3 internal invariant violation.  A reader that closes stdout
+early (``fracdim verify all --json | head -1``) ends the run quietly with
+exit code 0: the rest of the output is discarded, without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .graph import Graph, GraphError, ParseError, complement, parse_graph, format_graph
@@ -352,7 +355,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader stopped reading, which is not a fracdim failure.  Point
+        # stdout at devnull so the interpreter's final flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (ParseError, GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

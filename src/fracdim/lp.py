@@ -4,17 +4,25 @@ The LP solved here is
 
     minimize    sum_v x_v
     subject to  sum_{v in S} x_v >= 1   for every cover set S
-                0 <= x_v <= 1
+                x >= 0
 
-via a two-phase primal simplex on the full tableau (surplus variables for
-the >= rows, slacks for the upper bounds, artificials in phase 1) with
-Bland's anti-cycling rule.  Every pivot is carried out in exact rational
-arithmetic, so the reported optimum is exact, and every solution ships a
-dual certificate that is re-verified by direct substitution before it is
+(every optimum has x <= 1: clamping an entry above 1 keeps every set covered
+and lowers the objective).  The solver runs a single-phase primal simplex on
+the packing dual
+
+    maximize    sum_S y_S
+    subject to  sum_{S ∋ v} y_S <= 1    for every variable v
+                y >= 0
+
+starting from the slack basis, which is feasible at the origin.  Pivots are
+integer-preserving (Bareiss): every tableau entry is an integer over one
+common determinant, so each update is an exact integer division and no gcd
+is taken.  Dantzig's rule picks the entering column and a lexicographic
+ratio test picks the leaving row, which rules out cycling.  The covering
+optimum x is read off the reduced costs of the slacks.  Values become
+`fractions.Fraction` only in the returned solution, and every solution ships
+a dual certificate that is re-verified by direct substitution before it is
 returned.
-
-Public values are `fractions.Fraction`; internally gmpy2.mpq is used when
-available (identical semantics, much faster).
 """
 
 from __future__ import annotations
@@ -22,11 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-try:
-    from gmpy2 import mpq as _q
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    _q = Fraction
 
 
 class LpError(ValueError):
@@ -39,10 +42,6 @@ class LpInternalError(RuntimeError):
 
 class CertificateError(LpInternalError):
     """A produced solution failed independent re-verification."""
-
-
-def _fr(v) -> Fraction:
-    return Fraction(int(v.numerator), int(v.denominator))
 
 
 def format_rational(v: Fraction) -> str:
@@ -86,7 +85,9 @@ class LpSolution:
 
     ``dual`` has one entry per cover set followed by one per upper-bound row
     x_v <= 1; all entries are >= 0 and satisfy strong duality:
-    sum(cover duals) - sum(upper duals) == value.
+    sum(cover duals) - sum(upper duals) == value.  The solver never needs the
+    upper bounds, so its upper-bound duals are always zero; the entries stay
+    so that certificates keep one shape.
     """
 
     value: Fraction
@@ -119,66 +120,23 @@ def reduce_sets(sets: Sequence[frozenset[int]]) -> list[int]:
     return sorted(first[m] for m in kept_masks)
 
 
-def _pivot(T, b, r, basis, p, q, z):
-    """Pivot the tableau on row p, column q; returns the new objective value.
+def _lex_less(T, b, i, k, q, first_slack) -> bool:
+    """Lexicographic ratio test: does row i beat row k for entering column q?
 
-    Rows are updated in place and only on the pivot row's nonzero columns,
-    which keeps structured (sparse) instances cheap.
+    Rows are compared by (b, B^-1 row) / T[.][q] lexicographically, by
+    cross-multiplication; the slack columns hold B^-1 (scaled by D).  The
+    rows of B^-1 are independent, so two distinct rows never tie.
     """
-    row = T[p]
-    inv = 1 / row[q]
-    if inv != 1:
-        for j, y in enumerate(row):
-            if y:
-                row[j] = y * inv
-    bp = b[p] * inv
-    b[p] = bp
-    nonzero = [(j, y) for j, y in enumerate(row) if y]
-    for i in range(len(T)):
-        if i == p:
-            continue
-        f = T[i][q]
-        if f:
-            Ti = T[i]
-            for j, y in nonzero:
-                Ti[j] -= f * y
-            b[i] -= f * bp
-    f = r[q]
-    if f:
-        for j, y in nonzero:
-            r[j] -= f * y
-        z += f * bp
-    basis[p] = q
-    return z
-
-
-def _run_simplex(T, b, r, basis, z, ncols_eligible):
-    """Bland's rule to optimality: entering = lowest negative reduced cost."""
-    zero = _q(0)
-    while True:
-        q = -1
-        for j in range(ncols_eligible):
-            if r[j] < zero:
-                q = j
-                break
-        if q < 0:
-            return z
-        best_ratio = None
-        best_row = -1
-        for i in range(len(T)):
-            t = T[i][q]
-            if t > zero:
-                ratio = b[i] / t
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[best_row])
-                ):
-                    best_ratio = ratio
-                    best_row = i
-        if best_row < 0:
-            raise LpInternalError("unbounded LP; impossible for a covering instance")
-        z = _pivot(T, b, r, basis, best_row, q, z)
+    ti, tk = T[i][q], T[k][q]
+    lhs, rhs = b[i] * tk, b[k] * ti
+    if lhs != rhs:
+        return lhs < rhs
+    Ti, Tk = T[i], T[k]
+    for j in range(first_slack, len(Ti)):
+        lhs, rhs = Ti[j] * tk, Tk[j] * ti
+        if lhs != rhs:
+            return lhs < rhs
+    raise LpInternalError("lexicographic ratio test tied; the basis is singular")
 
 
 def solve_covering_lp(lp: CoveringLp) -> LpSolution:
@@ -186,78 +144,56 @@ def solve_covering_lp(lp: CoveringLp) -> LpSolution:
     n = lp.n_vars
     sets = lp.cover_sets
     m = len(sets)
-    zero, one = _q(0), _q(1)
 
-    if m == 0:
-        sol = LpSolution(Fraction(0), (Fraction(0),) * n, (Fraction(0),) * n)
-        return sol
-
-    # Columns: x_0..x_{n-1} | surplus s_0..s_{m-1} | slack t_0..t_{n-1} | artificial a_0..a_{m-1}
-    width = 2 * n + 2 * m
-    T: list[list] = []
-    for i, s in enumerate(sets):
-        row = [zero] * width
+    # Packing dual, one row per variable v:  sum_{S ∋ v} y_S + s_v = 1.
+    # Columns: y_0..y_{m-1} | slack s_0..s_{n-1}.  Every entry is an integer
+    # over the common denominator D.
+    T = [[0] * (m + n) for _ in range(n)]
+    for j, s in enumerate(sets):
         for v in s:
-            row[v] = one
-        row[n + i] = -one
-        row[n + m + n + i] = one
-        T.append(row)
+            T[v][j] = 1
     for v in range(n):
-        row = [zero] * width
-        row[v] = one
-        row[n + m + v] = one
-        T.append(row)
-    b = [one] * (m + n)
-    basis = [n + m + n + i for i in range(m)] + [n + m + v for v in range(n)]
+        T[v][m + v] = 1
+    b = [1] * n
+    r = [-1] * m + [0] * n  # reduced costs of: minimize -sum y
+    basis = list(range(m, m + n))
+    D = 1
 
-    # Phase 1: minimize the artificials.  Reduced costs: c1 - sum of cover rows.
-    r = [zero] * width
-    for i in range(m):
-        r[n + m + n + i] = one
-    for i in range(m):
-        Ti = T[i]
-        r = [x - y for x, y in zip(r, Ti)]
-    z1 = sum(b[:m], zero)
-    z1 = _run_simplex(T, b, r, basis, z1, width)
-    if z1 != zero:
-        raise LpInternalError("phase 1 ended positive; covering LPs are always feasible")
+    while True:
+        rq = min(r)
+        if rq >= 0:
+            break
+        q = r.index(rq)
+        p = -1
+        for i in range(n):
+            if T[i][q] > 0 and (p < 0 or _lex_less(T, b, i, p, q, m)):
+                p = i
+        if p < 0:
+            raise LpInternalError("unbounded LP; impossible for a covering instance")
+        # Integer-preserving pivot: row p stays, every other row i becomes
+        # (a*T[i] - T[i][q]*T[p]) / D, an exact division; then D = a.
+        Tp, bp, a = T[p], b[p], T[p][q]
+        for i in range(n):
+            if i == p:
+                continue
+            Ti, f = T[i], T[i][q]
+            if f:
+                T[i] = [(a * x - f * y) // D for x, y in zip(Ti, Tp)]
+                b[i] = (a * b[i] - f * bp) // D
+            elif a != D:  # with a == D the row is unchanged
+                T[i] = [a * x // D for x in Ti]
+                b[i] = a * b[i] // D
+        r = [(a * x - rq * y) // D for x, y in zip(r, Tp)]
+        basis[p] = q
+        D = a
 
-    # Drive any artificial still basic (at value 0) out of the basis, or drop
-    # its row when it is redundant.
-    art_lo = n + m + n
-    for p in range(len(T) - 1, -1, -1):
-        if basis[p] < art_lo:
-            continue
-        q = next((j for j in range(art_lo) if T[p][j] != zero), -1)
-        if q >= 0:
-            _pivot(T, b, r, basis, p, q, z1)
-        else:
-            del T[p], b[p], basis[p]
-
-    # Drop artificial columns entirely.
-    T = [row[:art_lo] for row in T]
-
-    # Phase 2: real objective (cost 1 on each x_v).
-    r = [one if j < n else zero for j in range(art_lo)]
-    z = zero
-    for i, bi in enumerate(basis):
-        if bi < n:
-            r = [x - y for x, y in zip(r, T[i])]
-            z += b[i]
-    z = _run_simplex(T, b, r, basis, z, art_lo)
-
-    x = [zero] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = b[i]
-    value = z
-    dual = [r[n + i] for i in range(m)] + [r[n + m + v] for v in range(n)]
-
-    sol = LpSolution(
-        _fr(value),
-        tuple(_fr(v) for v in x),
-        tuple(_fr(v) for v in dual),
-    )
+    # x_v is the reduced cost of slack v; y_S is the value of column S.
+    y = [Fraction(0)] * m
+    for i, j in enumerate(basis):
+        if j < m:
+            y[j] = Fraction(b[i], D)
+    x = tuple(Fraction(c, D) for c in r[m:])
+    sol = LpSolution(sum(y, Fraction(0)), x, tuple(y) + (Fraction(0),) * n)
     verify_solution(lp, sol)
     return sol
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -179,3 +183,31 @@ def test_verify_all_runs_every_suite_in_order(capsys):
 
     seen = [line.split()[1] for line in out.splitlines() if line.startswith("suite ")]
     assert seen == list(SUITE_ORDER)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dimf", "--spec", "petersen"],  # fits the buffer: fails at the final flush
+        ["verify", "thm1_closed_forms", "--json"],  # over 8 KiB: fails mid-print
+    ],
+)
+def test_closed_stdout_exits_quietly(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # block-buffered stdout
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracdim", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr == b""

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracdim.graph import Graph, complement
+from fracdim.lp import CoveringLp, LpSolution, verify_solution
 from fracdim.dimension import (
     GraphFamily,
     bounds_report,
     fractional_dimension,
+    joint_cover_sets,
     metric_dimension,
     simultaneous_dimension,
     simultaneous_fractional_dimension,
@@ -135,3 +137,21 @@ def test_complement_pair_of_complete():
     g = generate("complete(7)")
     fam = GraphFamily([g, complement(g)])
     assert simultaneous_fractional_dimension(fam).value == Fraction(7, 2)
+
+
+@pytest.mark.parametrize(
+    "spec, value",
+    [
+        ("wheel(40)", Fraction(39, 4)),
+        ("random_connected(26,50,1)", Fraction(7794, 2467)),
+        ("random_connected(30,30,2)", Fraction(62388278, 22840847)),
+        ("with_complement(cycle(30))", Fraction(15, 2)),
+    ],
+)
+def test_pinned_values_of_large_poorly_reducing_systems(spec, value):
+    obj = generate(spec)
+    fam = obj if isinstance(obj, GraphFamily) else GraphFamily([obj])
+    res = simultaneous_fractional_dimension(fam)
+    assert res.value == value
+    lp = CoveringLp(fam.n, joint_cover_sets(fam))
+    verify_solution(lp, LpSolution(res.value, res.assignment, res.certificate))

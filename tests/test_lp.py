@@ -109,6 +109,34 @@ def test_reduction_preserves_optimum(lp):
     assert solve_covering_lp(lp).value == solve_covering_lp(reduced).value
 
 
+@given(cover_instances(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_value_invariant_under_relabelling_reordering_and_duplicates(lp, data):
+    n, sets = lp.n_vars, list(lp.cover_sets)
+    value = solve_covering_lp(lp).value
+    perm = data.draw(st.permutations(range(n)))
+    extra = data.draw(st.lists(st.sampled_from(sets), min_size=1, max_size=5))
+    variants = [
+        CoveringLp(n, [{perm[v] for v in s} for s in sets]),
+        CoveringLp(n, data.draw(st.permutations(sets))),
+        CoveringLp(n, sets + extra),
+    ]
+    for variant in variants:
+        sol = solve_covering_lp(variant)
+        verify_solution(variant, sol)
+        assert sol.value == value
+        assert not any(sol.dual[len(variant.cover_sets):])
+
+
+def test_degenerate_cycle_system_is_deterministic():
+    # 30 of the 32 pivots on this system are degenerate, so the leaving row
+    # is chosen by the lexicographic tie-break again and again
+    lp = lp_of("cycle(64)")
+    a = solve_covering_lp(lp)
+    assert a == solve_covering_lp(lp)
+    assert a.value == Fraction(32, 31)
+
+
 @given(cover_instances())
 @settings(max_examples=80, deadline=None)
 def test_value_at_most_half_when_sets_have_two(lp):
