@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .graph import Graph
-from .lp import CoveringLp, min_hitting_set, reduce_sets, solve_covering_lp
-from .metric import constraint_system
+from .lp import CoveringLp, _bits, _minimal_masks, min_hitting_set, solve_covering_lp
+from .metric import resolver_masks
 
 
 class SandwichViolation(RuntimeError):
@@ -69,14 +69,15 @@ class BoundsReport:
 
 
 def joint_cover_sets(fam: GraphFamily) -> list[frozenset[int]]:
-    """Union of the members' constraint systems, reduced globally."""
+    """Union of the members' constraint systems, reduced globally.
+
+    One set per distinct minimal resolver set, in the order of its first
+    occurrence over (member, lexicographic pair).
+    """
     if fam.n < 2:
         raise ValueError("dimension computations need at least two vertices")
-    pool: list[frozenset[int]] = []
-    for g in fam.members:
-        pool.extend(c.members for c in constraint_system(g, reduce=True))
-    kept = reduce_sets(pool)
-    return [pool[i] for i in kept]
+    distinct = dict.fromkeys(m for g in fam.members for m in resolver_masks(g))
+    return [frozenset(_bits(m)) for m in _minimal_masks(distinct)]
 
 
 def _solve(n: int, sets: Sequence[frozenset[int]]) -> DimensionResult:

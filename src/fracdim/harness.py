@@ -4,26 +4,24 @@ Each suite builds a deterministic list of checks (fixed seeds, fixed
 ordering); a check compares an engine-computed quantity against an
 independent expectation and carries a witness string on failure with a
 spec sufficient to reproduce the instance in one CLI call.  Budgets cap
-sizes and sample counts; FRACDIM_THREADS > 1 evaluates checks in parallel
-without changing report order.
+sizes and sample counts.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Mapping
 
 from .graph import Graph, complement, diameter
 from .lp import format_rational
 from .metric import (
-    constraint_system,
     is_vertex_transitive,
     r_of,
+    resolver_masks,
     twin_partition,
 )
 from .dimension import (
@@ -107,7 +105,7 @@ class SuiteReport:
         for c in self.checks:
             lines.append(f"  [{c.status}] {c.description}  {c.witness}")
         good = sum(1 for c in self.checks if c.status == "pass")
-        lines.append(f"  {good}/{len(self.checks)} passed in {self.elapsed_ms} ms")
+        lines.append(f"  {good}/{len(self.checks)} passed")
         return "\n".join(lines)
 
 
@@ -302,8 +300,6 @@ def _common_end(members) -> bool:
 
 
 def _suite_thm4_sdf_one(budget: Budget) -> list[Unit]:
-    from itertools import combinations
-
     units: list[Unit] = []
     paths4 = _all_labeled_paths(4)
 
@@ -487,11 +483,9 @@ def _suite_lemma10_diam2_subset(budget: Budget) -> list[Unit]:
     cases = _diam2_samples(budget, 120)
 
     def check(g: Graph):
-        comp = complement(g)
-        ours = {c.pair: c.members for c in constraint_system(g, reduce=False)}
-        theirs = {c.pair: c.members for c in constraint_system(comp, reduce=False)}
-        for pair, members in ours.items():
-            if not members <= theirs[pair]:
+        pairs = combinations(range(g.n), 2)
+        for pair, ours, theirs in zip(pairs, resolver_masks(g), resolver_masks(complement(g))):
+            if ours & ~theirs:
                 return False, f"pair={pair} not contained in the complement's resolver set"
         return True, ""
 
@@ -912,19 +906,12 @@ def run_suite(name: str, budget=None) -> SuiteReport:
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_ORDER)}") from None
     started = time.perf_counter()
-    units = builder(_budget(budget))
-    workers = int(os.environ.get("FRACDIM_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda u: u[1](), units))
-    else:
-        outcomes = [run() for _, run in units]
-    checks = tuple(
-        CheckResult(desc, "pass" if ok else "fail", witness)
-        for (desc, _), (ok, witness) in zip(units, outcomes)
-    )
+    checks = []
+    for desc, run in builder(_budget(budget)):
+        ok, witness = run()
+        checks.append(CheckResult(desc, "pass" if ok else "fail", witness))
     elapsed_ms = int((time.perf_counter() - started) * 1000)
-    return SuiteReport(name, checks, elapsed_ms)
+    return SuiteReport(name, tuple(checks), elapsed_ms)
 
 
 def run_all(budget=None) -> list[SuiteReport]:

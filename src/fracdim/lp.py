@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 
 class LpError(ValueError):
@@ -96,6 +96,29 @@ class LpSolution:
     status: str = field(default="optimal")
 
 
+def _mask(s: Iterable[int]) -> int:
+    m = 0
+    for v in s:
+        m |= 1 << v
+    return m
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending."""
+    return [v for v, c in enumerate(reversed(bin(mask))) if c == "1"]
+
+
+def _minimal_masks(distinct: Collection[int]) -> list[int]:
+    """The masks of ``distinct`` (no repeats) that have no proper subset in it,
+    in their order in ``distinct``."""
+    minimal: list[int] = []
+    for m in sorted(distinct, key=int.bit_count):
+        if not any(k & m == k for k in minimal):
+            minimal.append(m)
+    keep = set(minimal)
+    return [m for m in distinct if m in keep]
+
+
 def reduce_sets(sets: Sequence[frozenset[int]]) -> list[int]:
     """Indices of one representative per distinct minimal (non-superset) set.
 
@@ -103,21 +126,10 @@ def reduce_sets(sets: Sequence[frozenset[int]]) -> list[int]:
     Deleting the dropped sets never changes the LP optimum or the minimum
     hitting set.
     """
-    masks: list[int] = []
     first: dict[int, int] = {}
     for i, s in enumerate(sets):
-        m = 0
-        for v in s:
-            m |= 1 << v
-        masks.append(m)
-        if m not in first:
-            first[m] = i
-    distinct = sorted(first, key=lambda m: (m.bit_count(), first[m]))
-    kept_masks: list[int] = []
-    for m in distinct:
-        if not any(km & m == km for km in kept_masks):
-            kept_masks.append(m)
-    return sorted(first[m] for m in kept_masks)
+        first.setdefault(_mask(s), i)
+    return [first[m] for m in _minimal_masks(first)]
 
 
 def _lex_less(T, b, i, k, q, first_slack) -> bool:
@@ -231,30 +243,35 @@ def _ceil_fraction(v: Fraction) -> int:
     return -((-v.numerator) // v.denominator)
 
 
+def _components(masks: Sequence[int]) -> list[int]:
+    """Variable masks of the groups of ``masks`` that share no variable."""
+    comps: list[int] = []
+    for m in masks:
+        joined, rest = m, []
+        for c in comps:
+            if c & m:
+                joined |= c
+            else:
+                rest.append(c)
+        rest.append(joined)
+        comps = rest
+    return comps
+
+
 def min_hitting_set(lp: CoveringLp) -> frozenset[int]:
     """Smallest set of variables meeting every cover set.
 
-    Iterative deepening on the target cardinality starting from the ceiling
-    of the LP value, with depth-first branch-and-bound; a greedy packing of
-    disjoint uncovered sets prunes inside the search.
+    The minimal sets split into components that share no variable, and a
+    minimum hitting set is the union of one for each component.  A component
+    is searched by iterative deepening on the target cardinality, starting
+    from the ceiling of its own LP value, with depth-first branch-and-bound;
+    a greedy packing of disjoint uncovered sets prunes inside the search.
     """
-    kept = reduce_sets(lp.cover_sets)
-    masks = []
-    for i in kept:
-        m = 0
-        for v in lp.cover_sets[i]:
-            m |= 1 << v
-        masks.append(m)
-    if not masks:
-        return frozenset()
-
+    masks = _minimal_masks(dict.fromkeys(_mask(s) for s in lp.cover_sets))
     freq = [0] * lp.n_vars
     for mask in masks:
-        mm = mask
-        while mm:
-            v = (mm & -mm).bit_length() - 1
+        for v in _bits(mask):
             freq[v] += 1
-            mm &= mm - 1
     priority = {v: (-freq[v], v) for v in range(lp.n_vars)}
 
     def packing_lb(uncovered: list[int]) -> int:
@@ -272,14 +289,7 @@ def min_hitting_set(lp: CoveringLp) -> frozenset[int]:
         if len(chosen) + packing_lb(uncovered) > k:
             return None
         target = min(uncovered, key=int.bit_count)
-        members = []
-        mm = target
-        while mm:
-            v = (mm & -mm).bit_length() - 1
-            members.append(v)
-            mm &= mm - 1
-        members.sort(key=priority.__getitem__)
-        for v in members:
+        for v in sorted(_bits(target), key=priority.__getitem__):
             bit = 1 << v
             rest = [mask for mask in uncovered if not mask & bit]
             chosen.append(v)
@@ -289,10 +299,18 @@ def min_hitting_set(lp: CoveringLp) -> frozenset[int]:
                 return found
         return None
 
-    masks.sort(key=int.bit_count)
-    lower = _ceil_fraction(solve_covering_lp(lp).value)
-    for k in range(max(lower, 1), lp.n_vars + 1):
-        hit = search(masks, [], k)
-        if hit is not None:
-            return frozenset(hit)
-    raise LpInternalError("no hitting set found; impossible for non-empty sets")
+    hit: list[int] = []
+    for comp in _components(masks):
+        group = sorted((m for m in masks if m & comp), key=int.bit_count)
+        cols = _bits(comp)
+        pos = {v: i for i, v in enumerate(cols)}
+        sub = CoveringLp(len(cols), [[pos[v] for v in _bits(m)] for m in group])
+        lower = _ceil_fraction(solve_covering_lp(sub).value)
+        for k in range(lower, len(cols) + 1):
+            found = search(group, [], k)
+            if found is not None:
+                hit += found
+                break
+        else:
+            raise LpInternalError("no hitting set found; impossible for non-empty sets")
+    return frozenset(hit)

@@ -9,10 +9,11 @@ set of resolvers of one pair is the support of one covering constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import combinations
+from typing import Iterator, Sequence
 
-from .graph import Graph, DistanceMatrix, all_pairs_distances, is_tree
-from .lp import reduce_sets
+from .graph import INF, Graph, DistanceMatrix, all_pairs_distances, is_tree
+from .lp import _bits, _minimal_masks
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,40 @@ def resolving_constraint(dm: DistanceMatrix, x: int, y: int) -> ResolvingConstra
     )
 
 
+_BITS = bytes.maketrans(b"\x00\x80", b"01")
+
+
+def resolver_masks(g: Graph) -> Iterator[int]:
+    """Bitmask of R{x,y} for every pair x < y, in lexicographic pair order.
+
+    Each distance row is packed into one integer, w bytes per vertex, with
+    INF as the all-ones field (larger than every distance).  In the XOR of
+    two rows the fields of the resolvers are exactly the non-zero ones.  One
+    add-and-mask moves "field non-zero" into the top bit of each field, and a
+    byte translation reads those bits out as the binary digits of the mask.
+    """
+    dm = all_pairs_distances(g)
+    n = g.n
+    w = (n.bit_length() + 7) // 8  # so that inf > n - 1, the largest distance
+    inf = (1 << 8 * w) - 1
+    unit = int.from_bytes(b"\x01".ljust(w, b"\x00") * n, "little")
+    low = unit * (inf >> 1)
+    top = unit << (8 * w - 1)
+    rows = [
+        int.from_bytes(
+            b"".join((inf if d == INF else d).to_bytes(w, "little") for d in dm[x]),
+            "little",
+        )
+        for x in range(n)
+    ]
+    for x in range(n):
+        rx = rows[x]
+        for y in range(x + 1, n):
+            v = rx ^ rows[y]
+            marks = ((v & low) + low | v) & top
+            yield int(marks.to_bytes(n * w, "big")[::w].translate(_BITS), 2)
+
+
 def constraint_system(g: Graph, reduce: bool = True) -> list[ResolvingConstraint]:
     """One constraint per unordered pair, in lexicographic pair order.
 
@@ -81,16 +116,16 @@ def constraint_system(g: Graph, reduce: bool = True) -> list[ResolvingConstraint
     """
     if g.n < 2:
         raise ValueError("constraint systems need at least two vertices")
-    dm = all_pairs_distances(g)
-    all_constraints = [
-        resolving_constraint(dm, x, y)
-        for x in range(g.n)
-        for y in range(x + 1, g.n)
-    ]
+    pairs = zip(combinations(range(g.n), 2), resolver_masks(g))
     if not reduce:
-        return all_constraints
-    kept = reduce_sets([c.members for c in all_constraints])
-    return [all_constraints[i] for i in kept]
+        return [ResolvingConstraint(p, frozenset(_bits(m))) for p, m in pairs]
+    first: dict[int, tuple[int, int]] = {}
+    for p, m in pairs:
+        first.setdefault(m, p)
+    return [
+        ResolvingConstraint(first[m], frozenset(_bits(m)))
+        for m in _minimal_masks(first)
+    ]
 
 
 def twin_partition(g: Graph) -> TwinPartition:
@@ -124,16 +159,7 @@ def r_of(g: Graph) -> int:
     """Minimum resolver-set size over all vertex pairs."""
     if g.n < 2:
         raise ValueError("r(G) needs at least two vertices")
-    dm = all_pairs_distances(g)
-    best = g.n
-    for x in range(g.n):
-        dx = dm[x]
-        for y in range(x + 1, g.n):
-            dy = dm[y]
-            size = sum(1 for z in range(g.n) if dx[z] != dy[z])
-            if size < best:
-                best = size
-    return best
+    return min(m.bit_count() for m in resolver_masks(g))
 
 
 def tree_profile(g: Graph) -> TreeProfile:

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracdim.graph import Graph, complement
+from fracdim.graph import Graph, all_pairs_distances, complement
 from fracdim.lp import CoveringLp, LpSolution, verify_solution
+from fracdim.metric import constraint_system, resolving_constraint
 from fracdim.dimension import (
     GraphFamily,
     bounds_report,
@@ -155,3 +157,41 @@ def test_pinned_values_of_large_poorly_reducing_systems(spec, value):
     assert res.value == value
     lp = CoveringLp(fam.n, joint_cover_sets(fam))
     verify_solution(lp, LpSolution(res.value, res.assignment, res.certificate))
+
+
+def any_graphs(n):
+    """Graphs on n vertices, connected or not."""
+    pairs = list(combinations(range(n), 2))
+    return st.integers(0, (1 << len(pairs)) - 1).map(
+        lambda mask: Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+    )
+
+
+def reference_system(members):
+    """(pair, set) per pair of every member, one per resolving_constraint call,
+    then the first occurrence of each distinct set with no proper subset."""
+    pool = []
+    for g in members:
+        dm = all_pairs_distances(g)
+        pool += [
+            ((x, y), resolving_constraint(dm, x, y).members)
+            for x, y in combinations(range(g.n), 2)
+        ]
+    distinct = {}
+    for pair, s in pool:
+        distinct.setdefault(s, pair)
+    return [(pair, s) for s, pair in distinct.items() if not any(t < s for t in distinct)]
+
+
+@given(st.integers(2, 9).flatmap(lambda n: st.lists(any_graphs(n), min_size=1, max_size=3)))
+@settings(max_examples=120, deadline=None)
+def test_mask_pipeline_matches_per_pair_definition(members):
+    want = reference_system(members)
+    assert joint_cover_sets(GraphFamily(members)) == [s for _, s in want]
+    g = members[0]
+    reduced = constraint_system(g, reduce=True)
+    assert [(c.pair, c.members) for c in reduced] == reference_system([g])
+    dm = all_pairs_distances(g)
+    assert constraint_system(g, reduce=False) == [
+        resolving_constraint(dm, x, y) for x, y in combinations(range(g.n), 2)
+    ]

@@ -13,6 +13,7 @@ from fracdim.lp import (
     solve_covering_lp,
     verify_solution,
 )
+from fracdim.dimension import metric_dimension
 from fracdim.metric import constraint_system
 from fracdim.families import generate
 
@@ -182,3 +183,23 @@ def test_degenerate_instances():
     assert min_hitting_set(lp) == {0, 1, 3}
     full = CoveringLp(3, [{0, 1, 2}] * 5)
     assert solve_covering_lp(full).value == 1
+
+
+@given(st.lists(cover_instances(), min_size=2, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_hitting_set_of_disjoint_instances_is_the_sum_of_the_parts(parts):
+    # shift the variables of each part past those of the previous ones
+    sets, offset = [], 0
+    for lp in parts:
+        sets += [{v + offset for v in s} for s in lp.cover_sets]
+        offset += lp.n_vars
+    union = CoveringLp(offset, sets)
+    hit = min_hitting_set(union)
+    assert len(hit) == sum(len(min_hitting_set(lp)) for lp in parts)
+    assert all(hit & s for s in union.cover_sets)
+
+
+def test_fig5_tree_splits_into_components():
+    # the reduced system of fig5_tree(9) is 27 two-element sets that form
+    # 9 vertex-disjoint triangles; each needs 2 of its 3 vertices
+    assert metric_dimension(generate("fig5_tree(9)")) == 18
