@@ -1,14 +1,17 @@
 """Command-line front end.
 
 Commands: dimf, sdimf, dim, sdim, twins, profile, gen, verify.  Graphs come
-either from an edge-list file (or stdin via ``-``) or from a generator spec
-string such as ``petersen`` or ``unicyclic_d(2,3)``.  Values print as exact
-rationals "p/q"; ``--decimal`` adds a clearly marked approximation.
+either from a file (or stdin via ``-``) or from a generator spec string such
+as ``petersen`` or ``unicyclic_d(2,3)``.  A file with ``graph <name>`` lines
+is a family, as a family spec is; the one-graph commands reject both.
+Values print as exact rationals "p/q"; ``--decimal`` adds a clearly marked
+approximation.
 
 Exit codes: 0 success (verify: all checks passed), 1 failed verify checks,
-2 bad input, 3 internal invariant violation.  A reader that closes stdout
-early (``fracdim verify all --json | head -1``) ends the run quietly with
-exit code 0: the rest of the output is discarded, without a traceback.
+2 bad input (a file that cannot be read or written included), 3 internal
+invariant violation.  A reader that closes stdout early (``fracdim verify
+all --json | head -1``) ends the run quietly with exit code 0: the rest of
+the output is discarded, without a traceback.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import json
 import os
 import sys
 
-from .graph import Graph, GraphError, ParseError, complement, parse_graph, format_graph
+from .graph import Graph, GraphError, ParseError, _parse_blocks, complement, format_graph
 from .lp import LpInternalError, format_rational
 from .metric import tree_profile, twin_partition
 from .dimension import (
@@ -40,56 +43,18 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _family(n: int, blocks: list[list]) -> GraphFamily:
+    (_, line, head), *named = blocks
+    if head:
+        raise ParseError(f"edge before any 'graph <name>' block at line {line}")
+    if not named:
+        raise ParseError("family file needs at least one 'graph <name>' block")
+    return GraphFamily([Graph(n, edges) for _, _, edges in named], [name for name, _, _ in named])
+
+
 def parse_family_file(text: str) -> GraphFamily:
     """Parse the family format: ``n <count>`` then ``graph <name>`` blocks."""
-    n: int | None = None
-    names: list[str] = []
-    blocks: list[list[tuple[int, int]]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if n is None:
-            if len(parts) != 2 or parts[0] != "n":
-                raise ParseError(f"expected header 'n <count>' at line {lineno}")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad vertex count at line {lineno}") from None
-            if n < 1:
-                raise ParseError(f"vertex count must be >= 1 at line {lineno}")
-            continue
-        if parts[0] == "graph":
-            if len(parts) != 2:
-                raise ParseError(f"expected 'graph <name>' at line {lineno}")
-            names.append(parts[1])
-            blocks.append([])
-            seen = set()
-            continue
-        if not blocks:
-            raise ParseError(f"edge before any 'graph <name>' block at line {lineno}")
-        if len(parts) != 2:
-            raise ParseError(f"malformed edge line at line {lineno}: {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"malformed edge line at line {lineno}: {line!r}") from None
-        if u == v:
-            raise ParseError(f"self-loop at line {lineno}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"vertex id out of range at line {lineno}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ParseError(f"duplicate edge at line {lineno}")
-        seen.add(key)
-        blocks[-1].append(key)
-    if n is None:
-        raise ParseError("missing header 'n <count>'")
-    if not blocks:
-        raise ParseError("family file needs at least one 'graph <name>' block")
-    return GraphFamily([Graph(n, edges) for edges in blocks], names)
+    return _family(*_parse_blocks(text))
 
 
 def format_family_file(fam: GraphFamily) -> str:
@@ -101,41 +66,34 @@ def format_family_file(fam: GraphFamily) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_graph(args) -> Graph:
+def _load(args) -> Graph | GraphFamily:
+    """The spec or the file of a command; a file with blocks is a family."""
     if args.spec and args.input:
         raise ParseError("give either an input file or --spec, not both")
     if args.spec:
-        obj = generate(parse_spec(args.spec))
-        if isinstance(obj, GraphFamily):
-            raise ParseError(f"spec {args.spec!r} produces a family; use sdimf/sdim")
-        return obj
+        return generate(parse_spec(args.spec))
     if not args.input:
         raise ParseError("give an input file or --spec")
-    return parse_graph(_read_text(args.input))
+    n, blocks = _parse_blocks(_read_text(args.input))
+    return _family(n, blocks) if len(blocks) > 1 else Graph(n, blocks[0][2])
+
+
+def _load_graph(args) -> Graph:
+    obj = _load(args)
+    if isinstance(obj, GraphFamily):
+        source = f"spec {args.spec!r}" if args.spec else f"file {args.input!r}"
+        raise ParseError(f"{source} produces a family; use sdimf/sdim")
+    return obj
 
 
 def _load_family(args) -> GraphFamily:
-    pair_with_complement = getattr(args, "with_complement", False)
-    if args.spec and args.input:
-        raise ParseError("give either an input file or --spec, not both")
-    if args.spec:
-        obj = generate(parse_spec(args.spec))
-        if isinstance(obj, Graph):
-            if pair_with_complement:
-                return GraphFamily([obj, complement(obj)], [args.spec, "complement"])
-            return GraphFamily([obj], [args.spec])
-        if pair_with_complement:
+    obj = _load(args)
+    name = args.spec or "input"
+    if getattr(args, "with_complement", False):
+        if isinstance(obj, GraphFamily):
             raise ParseError("--with-complement needs a single-graph spec or file")
-        return obj
-    if not args.input:
-        raise ParseError("give an input file or --spec")
-    text = _read_text(args.input)
-    if pair_with_complement:
-        g = parse_graph(text)
-        return GraphFamily([g, complement(g)], ["input", "complement"])
-    if any(line.strip().startswith("graph ") for line in text.splitlines()):
-        return parse_family_file(text)
-    return GraphFamily([parse_graph(text)], ["input"])
+        return GraphFamily([obj, complement(obj)], [name, "complement"])
+    return obj if isinstance(obj, GraphFamily) else GraphFamily([obj], [name])
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -147,12 +105,12 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 def _fractional_output(args, fam: GraphFamily) -> int:
     # solve_covering_lp has already re-verified this certificate against
-    # this exact instance.
-    res = simultaneous_fractional_dimension(fam)
+    # this exact instance.  With --bounds the report's pooled solve is it.
+    rep = bounds_report(fam) if getattr(args, "bounds", False) else None
+    res = rep.pooled if rep else simultaneous_fractional_dimension(fam)
     payload: dict = {"value": format_rational(res.value)}
     lines = [format_rational(res.value)]
-    if getattr(args, "bounds", False):
-        rep = bounds_report(fam)
+    if rep:
         payload["bounds"] = {
             "sdf": format_rational(rep.sdf),
             "sd": rep.sd,
@@ -362,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except (ParseError, GraphError, ValueError) as exc:
+    except (ParseError, GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (LpInternalError, SandwichViolation) as exc:

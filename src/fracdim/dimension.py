@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph
 from .lp import CoveringLp, _bits, _minimal_masks, min_hitting_set, solve_covering_lp
@@ -66,6 +66,18 @@ class BoundsReport:
     sdf: Fraction
     sd: int
     per_member_dimf: tuple[Fraction, ...]
+    pooled: DimensionResult  # the Sd_f solve that gave sdf
+
+
+def _member_masks(fam: GraphFamily) -> list[Iterator[int]]:
+    if fam.n < 2:
+        raise ValueError("dimension computations need at least two vertices")
+    return [resolver_masks(g) for g in fam.members]
+
+
+def _minimal_union(systems: Iterable[Iterable[int]]) -> list[int]:
+    """The minimal masks of all systems, in order of first occurrence."""
+    return _minimal_masks(dict.fromkeys(m for masks in systems for m in masks))
 
 
 def joint_cover_sets(fam: GraphFamily) -> list[frozenset[int]]:
@@ -74,13 +86,10 @@ def joint_cover_sets(fam: GraphFamily) -> list[frozenset[int]]:
     One set per distinct minimal resolver set, in the order of its first
     occurrence over (member, lexicographic pair).
     """
-    if fam.n < 2:
-        raise ValueError("dimension computations need at least two vertices")
-    distinct = dict.fromkeys(m for g in fam.members for m in resolver_masks(g))
-    return [frozenset(_bits(m)) for m in _minimal_masks(distinct)]
+    return [frozenset(_bits(m)) for m in _minimal_union(_member_masks(fam))]
 
 
-def _solve(n: int, sets: Sequence[frozenset[int]]) -> DimensionResult:
+def _solve(n: int, sets: Sequence[Iterable[int]]) -> DimensionResult:
     sol = solve_covering_lp(CoveringLp(n, sets))
     return DimensionResult(sol.value, sol.assignment, sol.dual, len(sets))
 
@@ -102,29 +111,35 @@ def metric_dimension(g: Graph) -> int:
 
 def simultaneous_dimension(fam: GraphFamily) -> int:
     """Sd of the family: minimum simultaneous resolving-set cardinality."""
-    sets = joint_cover_sets(fam)
-    return len(min_hitting_set(CoveringLp(fam.n, sets)))
+    return len(min_hitting_set(CoveringLp(fam.n, joint_cover_sets(fam))))
 
 
 def bounds_report(fam: GraphFamily) -> BoundsReport:
-    """All sandwich quantities; raises SandwichViolation if the chain fails."""
+    """All sandwich quantities; raises SandwichViolation if the chain fails.
+
+    A pooled set is minimal iff it is minimal in each member that has it, so
+    pooling the members' minimal masks gives ``joint_cover_sets``, in order.
+    """
     if len(fam.members) < 2:
         raise ValueError("bounds reports are for families with k >= 2")
-    per_member = tuple(fractional_dimension(g).value for g in fam.members)
-    sdf = simultaneous_fractional_dimension(fam).value
-    sd = simultaneous_dimension(fam)
+    members = [_minimal_union([masks]) for masks in _member_masks(fam)]
+    per_member = tuple(_solve(fam.n, list(map(_bits, ms))).value for ms in members)
+    sets = list(map(_bits, _minimal_union(members)))
+    pooled = _solve(fam.n, sets)
+    sd = len(min_hitting_set(CoveringLp(fam.n, sets)))
     report = BoundsReport(
         max_dimf=max(per_member),
         sum_dimf=sum(per_member, Fraction(0)),
         half_n=Fraction(fam.n, 2),
-        sdf=sdf,
+        sdf=pooled.value,
         sd=sd,
         per_member_dimf=per_member,
+        pooled=pooled,
     )
     upper = min(report.sum_dimf, report.half_n)
-    if not (report.max_dimf <= sdf <= upper and sdf <= sd):
+    if not (report.max_dimf <= report.sdf <= upper and report.sdf <= sd):
         raise SandwichViolation(
-            f"bound chain failed: max={report.max_dimf} sdf={sdf} "
+            f"bound chain failed: max={report.max_dimf} sdf={report.sdf} "
             f"min(sum, n/2)={upper} sd={sd}"
         )
     return report

@@ -78,17 +78,20 @@ class DistanceMatrix:
         return self.rows[i]
 
 
-def parse_graph(text: str | bytes) -> Graph:
-    """Parse the edge-list format: header ``n <count>``, then ``u v`` lines.
+def _parse_blocks(text: str | bytes) -> tuple[int, list[list]]:
+    """Read the edge-list and family formats: header ``n <count>``, then
+    ``u v`` edge lines, optionally grouped under ``graph <name>`` lines.
 
-    Blank lines and lines starting with ``#`` are ignored.  Errors name the
-    offending 1-based line number.
+    Blank lines and ``#`` lines are ignored; errors name the 1-based line.
+    Returns the vertex count and the blocks as ``[name, line, edges]``,
+    with the edges as dict keys in file order.  The first block holds the
+    edges before any ``graph`` line, with name None and the line of its
+    first edge (0 if it has none).
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     n: int | None = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    blocks: list[list] = [[None, 0, {}]]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -104,10 +107,13 @@ def parse_graph(text: str | bytes) -> Graph:
             if n < 1:
                 raise ParseError(f"vertex count must be >= 1 at line {lineno}")
             continue
-        if len(parts) != 2:
-            raise ParseError(f"malformed edge line at line {lineno}: {line!r}")
+        if parts[0] == "graph":
+            if len(parts) != 2:
+                raise ParseError(f"expected 'graph <name>' at line {lineno}")
+            blocks.append([parts[1], lineno, {}])
+            continue
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = map(int, parts)  # exactly two integers
         except ValueError:
             raise ParseError(f"malformed edge line at line {lineno}: {line!r}") from None
         if u == v:
@@ -115,13 +121,25 @@ def parse_graph(text: str | bytes) -> Graph:
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"vertex id out of range at line {lineno}")
         key = (u, v) if u < v else (v, u)
-        if key in seen:
+        if key in blocks[-1][2]:
             raise ParseError(f"duplicate edge at line {lineno}")
-        seen.add(key)
-        edges.append(key)
+        if not blocks[-1][1]:  # the first edge of the unnamed first block
+            blocks[-1][1] = lineno
+        blocks[-1][2][key] = None
     if n is None:
         raise ParseError("missing header 'n <count>'")
-    return Graph(n, edges)
+    return n, blocks
+
+
+def parse_graph(text: str | bytes) -> Graph:
+    """Parse the edge-list format: header ``n <count>``, then ``u v`` lines.
+
+    Errors name the 1-based line; a ``graph <name>`` line is one of them.
+    """
+    n, blocks = _parse_blocks(text)
+    if len(blocks) > 1:
+        raise ParseError(f"'graph <name>' at line {blocks[1][1]}: a family file, not one graph")
+    return Graph(n, blocks[0][2])
 
 
 def format_graph(g: Graph) -> str:

@@ -44,9 +44,16 @@ DEFAULT_SEED = 20240801
 
 @dataclass(frozen=True)
 class Budget:
-    """Optional size caps for a suite run (keys: n, samples, trees, seed)."""
+    """Optional size caps for a suite run; ``KEYS`` are the ones suites read."""
+
+    KEYS = ("n", "samples", "trees", "seed", "exhaustive_n", "ab")
 
     limits: Mapping[str, int]
+
+    def __post_init__(self):
+        for key in self.limits:
+            if key not in self.KEYS:
+                raise ValueError(f"unknown budget key {key!r}; known: {', '.join(self.KEYS)}")
 
     def get(self, key: str, default: int) -> int:
         return int(self.limits.get(key, default))

@@ -126,6 +126,73 @@ def test_family_file_parsing():
     assert round_trip.members == generate("fig3").members
 
 
+def test_family_file_block_line_may_use_a_tab(tmp_path, capsys):
+    text = "n 3\ngraph\tA\n0 1\n1 2\ngraph\tB\n0 2\n"
+    assert parse_family_file(text).names == ("A", "B")
+    path = tmp_path / "fam.txt"
+    path.write_text(text)
+    code, out, _ = run(capsys, "sdimf", str(path))
+    assert code == 0 and out.strip() == "1"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dimf"], "produces a family"),
+        (["dim"], "produces a family"),
+        (["twins"], "produces a family"),
+        (["profile"], "produces a family"),
+        (["sdimf", "--with-complement"], "single-graph"),
+        (["sdim", "--with-complement"], "single-graph"),
+    ],
+)
+def test_family_input_rejected_where_one_graph_is_needed(tmp_path, capsys, argv, message):
+    path = tmp_path / "fam.txt"
+    path.write_text("n 3\ngraph A\n0 1\n1 2\ngraph B\n0 2\n")
+    for source in ([str(path)], ["--spec", "fig1a"]):
+        code, out, err = run(capsys, argv[0], *source, *argv[1:])
+        assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize("name", ["missing.txt", "."])
+def test_unreadable_input_exits_2(tmp_path, capsys, name):
+    code, out, err = run(capsys, "dimf", str(tmp_path / name))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    code, _, err = run(capsys, "gen", "--spec", "path(3)", "-o", str(tmp_path / "no" / "x.txt"))
+    assert code == 2 and err.startswith("error: ")
+
+
+def test_sdimf_bounds_builds_each_member_system_once(monkeypatch, capsys):
+    import fracdim.dimension
+    import fracdim.metric
+
+    calls = {"apsp": 0, "dimension_lp": 0, "joint_cover_sets": 0}
+
+    def counting(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    fam = generate("star_family(6)")
+    monkeypatch.setattr(fracdim.metric, "all_pairs_distances",
+                        counting("apsp", fracdim.metric.all_pairs_distances))
+    monkeypatch.setattr(fracdim.dimension, "solve_covering_lp",
+                        counting("dimension_lp", fracdim.dimension.solve_covering_lp))
+    monkeypatch.setattr(fracdim.dimension, "joint_cover_sets",
+                        counting("joint_cover_sets", fracdim.dimension.joint_cover_sets))
+    code, out, _ = run(capsys, "sdimf", "--spec", "star_family(6)", "--bounds")
+    assert code == 0 and out.splitlines()[0] == "3"
+    k = len(fam)
+    # One BFS per member, k member solves plus one pooled solve, and no
+    # pooled system built outside bounds_report.
+    assert calls == {"apsp": k, "dimension_lp": k + 1, "joint_cover_sets": 0}
+
+
 def test_spec_producing_family_rejected_by_dimf(capsys):
     code, _, err = run(capsys, "dimf", "--spec", "fig1a")
     assert code == 2 and "family" in err
@@ -170,6 +237,11 @@ def test_verify_budget(capsys):
     code, out, _ = run(capsys, "verify", "prop15_cycles", "--budget", "n=6")
     assert code == 0
     assert "4/4 passed" in out
+
+
+def test_verify_unknown_budget_key_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "prop15_cycles", "--budget", "nn=3")
+    assert code == 2 and out == "" and "unknown budget key 'nn'" in err
 
 
 def test_verify_all_runs_every_suite_in_order(capsys):

@@ -100,6 +100,21 @@ def test_bounds_report_needs_two_members():
         bounds_report(GraphFamily([generate("path(4)")]))
 
 
+@pytest.mark.parametrize("spec", ["fig1a", "star_family(6)", "random_family(8,3,5)"])
+def test_bounds_report_pooled_solve_is_the_sdimf_solve(spec):
+    fam = generate(spec)
+    rep = bounds_report(fam)
+    assert rep.pooled == simultaneous_fractional_dimension(fam)
+    assert rep.sdf == rep.pooled.value
+    assert rep.sd == simultaneous_dimension(fam)
+    assert rep.per_member_dimf == tuple(fractional_dimension(g).value for g in fam.members)
+
+
+def test_bounds_report_needs_two_vertices():
+    with pytest.raises(ValueError, match="two vertices"):
+        bounds_report(GraphFamily([Graph(1), Graph(1)]))
+
+
 def connected_graphs(max_n=8):
     @st.composite
     def build(draw):
@@ -122,6 +137,7 @@ def test_sandwich_on_random_families(members):
     rep = bounds_report(fam)  # raises SandwichViolation on engine bugs
     assert rep.max_dimf <= rep.sdf <= min(rep.sum_dimf, rep.half_n)
     assert rep.sdf <= rep.sd
+    assert rep.pooled == simultaneous_fractional_dimension(fam)
 
 
 @given(connected_graphs(7), connected_graphs(7))

@@ -45,6 +45,11 @@ def test_parse_errors():
         parse_graph("0 1\n1 2")
 
 
+def test_parse_graph_rejects_family_files():
+    with pytest.raises(ParseError, match="line 2: a family file"):
+        parse_graph("n 3\ngraph A\n0 1\n")
+
+
 def test_parse_comments_and_blanks():
     g = parse_graph("# a path\nn 3\n\n0 1\n# middle\n1 2\n")
     assert g.edges == ((0, 1), (1, 2))

@@ -1,4 +1,6 @@
+import inspect
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,19 @@ def test_budget_parsing():
     assert b.get("seed", 7) == 7
     with pytest.raises(ValueError):
         Budget.parse(["n9"])
+
+
+def test_budget_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="unknown budget key 'nn'"):
+        Budget.parse(["nn=3"])
+    with pytest.raises(ValueError, match="unknown budget key 'nn'"):
+        run_suite("prop12_paths", {"nn": 3})
+    assert Budget.parse([f"{key}=3" for key in Budget.KEYS]).get("ab", 4) == 3
+
+
+def test_budget_keys_are_the_ones_the_suites_read():
+    read = set(re.findall(r'budget\.get\("(\w+)"', inspect.getsource(harness)))
+    assert read == set(Budget.KEYS)
 
 
 def test_reports_are_reproducible():
