@@ -4,8 +4,8 @@ Commands: dimf, sdimf, dim, sdim, twins, profile, gen, verify.  Graphs come
 either from a file (or stdin via ``-``) or from a generator spec string such
 as ``petersen`` or ``unicyclic_d(2,3)``.  A file with ``graph <name>`` lines
 is a family, as a family spec is; the one-graph commands reject both.
-Values print as exact rationals "p/q"; ``--decimal`` adds a clearly marked
-approximation.
+Values print as exact rationals "p/q"; ``--decimal K`` adds the exact value
+rounded to K places, marked approximate.
 
 Exit codes: 0 success (verify: all checks passed), 1 failed verify checks,
 2 bad input (a file that cannot be read or written included), 3 internal
@@ -20,6 +20,8 @@ import argparse
 import json
 import os
 import sys
+from decimal import MAX_PREC, Context, Decimal
+from fractions import Fraction
 
 from .graph import Graph, GraphError, ParseError, _parse_blocks, complement, format_graph
 from .lp import LpInternalError, format_rational
@@ -136,7 +138,7 @@ def _fractional_output(args, fam: GraphFamily) -> int:
         lines.append("dual " + " ".join(format_rational(v) for v in res.certificate))
         lines.append(f"constraints {res.constraint_count}")
     if args.decimal is not None:
-        approx = f"{float(res.value):.{args.decimal}f}"
+        approx = _decimal(res.value, args.decimal)
         payload["decimal_approx"] = approx
         lines.append(f"decimal {approx} (approximate)")
     _emit(args, payload, lines)
@@ -240,15 +242,33 @@ def _add_input_options(sub, with_complement: bool = False) -> None:
         )
 
 
+def _decimal(value: Fraction, digits: int) -> str:
+    """The exact value rounded to ``digits`` places, ties to even."""
+    scaled = Decimal(round(value * 10**digits))
+    # Only the exponent moves, so no digit is rounded; and unlike int -> str,
+    # Decimal -> str has no length limit.
+    return f"{scaled.scaleb(-digits, Context(prec=MAX_PREC)):f}"
+
+
+def _digits(text: str) -> int:
+    try:
+        k = int(text)
+    except ValueError:
+        k = -1
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"K must be an integer >= 0, got {text!r}")
+    return k
+
+
 def _add_value_options(sub) -> None:
     sub.add_argument("--assignment", action="store_true", help="print the optimal weights")
     sub.add_argument("--certificate", action="store_true", help="print the dual certificate")
     sub.add_argument("--json", action="store_true", help="JSON output")
     sub.add_argument(
         "--decimal",
-        type=int,
+        type=_digits,
         metavar="K",
-        help="also print a K-digit decimal approximation (marked approximate)",
+        help="also print the value rounded to K decimal places (marked approximate)",
     )
 
 

@@ -13,12 +13,13 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Callable, Mapping
+from itertools import combinations, permutations
+from typing import Callable, Collection, Mapping
 
 from .graph import Graph, complement, diameter
 from .lp import format_rational
 from .metric import (
+    family_twin_multiplicity,
     is_vertex_transitive,
     r_of,
     resolver_masks,
@@ -37,7 +38,7 @@ from .families import (
     graph_code,
     with_complement,
 )
-from .oracles import oracle_dimf, oracle_sdimf
+from .oracles import has_fixed_point_free_twin_permutation, oracle_dimf, oracle_sdimf
 
 DEFAULT_SEED = 20240801
 
@@ -117,39 +118,73 @@ class SuiteReport:
 
 
 Unit = tuple[str, Callable[[], tuple[bool, str]]]
+Check = Callable[..., tuple[bool, str]]  # generated instance -> (ok, detail)
 
 
 def _fmt(v: Fraction) -> str:
     return format_rational(Fraction(v))
 
 
-def _sdf(spec_or_family) -> Fraction:
-    fam = generate(spec_or_family) if isinstance(spec_or_family, str) else spec_or_family
-    if isinstance(fam, Graph):
-        fam = GraphFamily([fam])
+def _dimf(g: Graph) -> Fraction:
+    return fractional_dimension(g).value
+
+
+def _sdf(fam: GraphFamily) -> Fraction:
     return simultaneous_fractional_dimension(fam).value
 
 
+def _pair(g: Graph) -> Fraction:
+    """Sd_f of the pair {G, complement(G)}."""
+    return _sdf(with_complement(g))
+
+
+def _rng(budget: Budget, salt: int) -> SplitMix64:
+    """One sampler's stream: the budget seed xor the sampler's own salt."""
+    return SplitMix64(budget.get("seed", DEFAULT_SEED) ^ salt)
+
+
+def _size(rng: SplitMix64, low: int, cap: int) -> int:
+    """A vertex count drawn from low..cap (low itself when cap < low)."""
+    return low + rng.below(max(cap - low + 1, 1))
+
+
+def _verdict(ok: bool, passed: str, failed: str) -> tuple[bool, str]:
+    return ok, passed if ok else failed
+
+
+def _expect(expected: Fraction, actual: Fraction) -> tuple[bool, str]:
+    return _verdict(
+        actual == expected,
+        f"value={_fmt(actual)}",
+        f"expected={_fmt(expected)} actual={_fmt(actual)}",
+    )
+
+
+def _checked(spec: str, check: Check, build=None) -> tuple[bool, str]:
+    """Run ``check`` on the instance of ``spec``; the witness starts with the spec."""
+    ok, detail = check((build or generate)(spec))
+    return ok, f"spec={spec} {detail}"
+
+
+def _spec_unit(description: str, spec: str, check: Check) -> Unit:
+    return description, lambda: _checked(spec, check)
+
+
 def _value_unit(description: str, spec: str, expected: Fraction,
-                compute: Callable[[], Fraction]) -> Unit:
-    def run() -> tuple[bool, str]:
-        actual = compute()
-        if actual == expected:
-            return True, f"spec={spec} value={_fmt(actual)}"
-        return False, f"spec={spec} expected={_fmt(expected)} actual={_fmt(actual)}"
-
-    return description, run
+                measure: Callable[..., Fraction]) -> Unit:
+    return _spec_unit(description, spec, lambda obj: _expect(expected, measure(obj)))
 
 
-def _batch_unit(description: str, cases, check_one) -> Unit:
-    """cases: list of (spec_str, payload); check_one -> (ok, detail)."""
+def _batch_unit(description: str, specs: Collection[str], check: Check,
+                build=None) -> Unit:
+    """One check over many specs, each built (by default generated) when its turn comes."""
 
     def run() -> tuple[bool, str]:
-        for spec, payload in cases:
-            ok, detail = check_one(payload)
+        for spec in specs:
+            ok, witness = _checked(spec, check, build)
             if not ok:
-                return False, f"spec={spec} {detail}"
-        return True, f"{len(cases)} instances"
+                return False, witness
+        return True, f"{len(specs)} instances"
 
     return description, run
 
@@ -159,7 +194,6 @@ def _batch_unit(description: str, cases, check_one) -> Unit:
 
 
 def _suite_thm1_closed_forms(budget: Budget) -> list[Unit]:
-    units: list[Unit] = []
     roster = (
         [f"path({n})" for n in range(2, 13)]
         + [f"cycle({n})" for n in range(3, 13)]
@@ -172,67 +206,42 @@ def _suite_thm1_closed_forms(budget: Budget) -> list[Unit]:
         + [f"kite({n})" for n in range(4, 9)]
         + [f"fig5_tree({k})" for k in range(2, 5)]
     )
-    for spec in roster:
-        ov = oracle_dimf(spec)
-        units.append(
-            _value_unit(
-                f"dimension of {spec} matches its closed form",
-                spec,
-                ov.value,
-                lambda s=spec: fractional_dimension(generate(s)).value,
-            )
-        )
+    units = [
+        _value_unit(f"dimension of {spec} matches its closed form", spec,
+                    oracle_dimf(spec).value, _dimf)
+        for spec in roster
+    ]
 
     trees = budget.get("trees", 60)
     cap = budget.get("n", 14)
-    rng = SplitMix64(budget.get("seed", DEFAULT_SEED))
-    cases = []
-    for _ in range(trees):
-        n = 4 + rng.below(max(cap - 3, 1))
-        seed = rng.next_u64()
-        cases.append((f"random_tree({n},{seed})", f"random_tree({n},{seed})"))
-
-    def tree_check(spec):
-        g = generate(spec)
-        expected = oracle_dimf(g).value
-        actual = fractional_dimension(g).value
-        if actual == expected:
-            return True, ""
-        return False, f"expected={_fmt(expected)} actual={_fmt(actual)}"
-
+    rng = _rng(budget, 0)
+    specs = [f"random_tree({_size(rng, 4, cap)},{rng.next_u64()})" for _ in range(trees)]
     units.append(
         _batch_unit(
             f"tree closed form (sigma-ex1)/2 on {trees} random trees (n <= {cap})",
-            cases,
-            tree_check,
+            specs,
+            lambda g: _expect(oracle_dimf(g).value, _dimf(g)),
         )
     )
     return units
 
 
-def _random_family_cases(budget: Budget, default_samples: int, n_default: int = 10):
-    samples = budget.get("samples", default_samples)
-    cap = budget.get("n", n_default)
-    rng = SplitMix64(budget.get("seed", DEFAULT_SEED) ^ 0xF00D)
-    cases = []
-    for _ in range(samples):
-        n = 4 + rng.below(max(cap - 3, 1))
-        k = 2 + rng.below(3)
-        seed = rng.next_u64()
-        cases.append((f"random_family({n},{k},{seed})", f"random_family({n},{k},{seed})"))
-    return cases
+def _random_family_specs(budget: Budget, default_samples: int) -> list[str]:
+    cap = budget.get("n", 10)
+    rng = _rng(budget, 0xF00D)
+    return [
+        f"random_family({_size(rng, 4, cap)},{2 + rng.below(3)},{rng.next_u64()})"
+        for _ in range(budget.get("samples", default_samples))
+    ]
 
 
 def _suite_obs2_sandwich(budget: Budget) -> list[Unit]:
-    cases = _random_family_cases(budget, 50)
+    specs = _random_family_specs(budget, 50)
 
-    def check(spec):
-        fam = generate(spec)
+    def check(fam):
         rep = bounds_report(fam)  # raises on violation
         upper = min(rep.sum_dimf, rep.half_n)
-        if rep.max_dimf <= rep.sdf <= upper and rep.sdf <= rep.sd:
-            return True, ""
-        return False, (
+        return rep.max_dimf <= rep.sdf <= upper and rep.sdf <= rep.sd, (
             f"max={_fmt(rep.max_dimf)} sdf={_fmt(rep.sdf)} "
             f"min(sum,n/2)={_fmt(upper)} sd={rep.sd}"
         )
@@ -240,23 +249,24 @@ def _suite_obs2_sandwich(budget: Budget) -> list[Unit]:
     return [
         _batch_unit(
             f"bound chain max <= Sd_f <= min(sum, n/2) <= n/2 and Sd_f <= Sd "
-            f"on {len(cases)} random families",
-            cases,
+            f"on {len(specs)} random families",
+            specs,
             check,
         )
     ]
 
 
-def _twin_bound_holds(fam: GraphFamily, assignment) -> tuple[bool, str]:
+def _twin_bound_holds(fam: GraphFamily) -> tuple[bool, str]:
+    res = simultaneous_fractional_dimension(fam)
     for gi, g in enumerate(fam.members):
         for cls in twin_partition(g).nontrivial():
-            total = sum((assignment[v] for v in cls), Fraction(0))
+            total = sum((res.assignment[v] for v in cls), Fraction(0))
             if total < Fraction(len(cls), 2):
                 return False, (
                     f"member={gi} class={list(cls)} mass={_fmt(total)} "
                     f"needed={_fmt(Fraction(len(cls), 2))}"
                 )
-    return True, ""
+    return True, f"value={_fmt(res.value)}"
 
 
 def _suite_lemma1_twin_bound(budget: Budget) -> list[Unit]:
@@ -269,33 +279,19 @@ def _suite_lemma1_twin_bound(budget: Budget) -> list[Unit]:
         "with_complement(unicyclic_b(2,3))", "with_complement(unicyclic_d(2,2))",
         "with_complement(star(7))", "with_complement(wheel(7))",
     ]
-    roster += [spec for spec, _ in _random_family_cases(budget, 10)]
-    units = []
-    for spec in roster:
-        def run(s=spec) -> tuple[bool, str]:
-            fam = generate(s)
-            if isinstance(fam, Graph):
-                fam = GraphFamily([fam])
-            res = simultaneous_fractional_dimension(fam)
-            ok, detail = _twin_bound_holds(fam, res.assignment)
-            if ok:
-                return True, f"spec={s} value={_fmt(res.value)}"
-            return False, f"spec={s} {detail}"
-
-        units.append((f"optimal assignment of {spec} gives every twin class its half", run))
-    return units
+    roster += _random_family_specs(budget, 10)
+    return [
+        _spec_unit(f"optimal assignment of {spec} gives every twin class its half",
+                   spec, _twin_bound_holds)
+        for spec in roster
+    ]
 
 
-def _all_labeled_paths(n: int) -> list[tuple[str, Graph]]:
-    from itertools import permutations
-
-    seen = {}
-    for perm in permutations(range(n)):
-        if perm[0] > perm[-1]:
-            continue  # one orientation per path
-        g = Graph(n, [(perm[i], perm[i + 1]) for i in range(n - 1)])
-        seen[g.edges] = g
-    return [(f"graph_index({n},{graph_code(g)})", g) for g in seen.values()]
+def _path_family(orders) -> tuple[str, GraphFamily]:
+    """The family of the paths that visit each order, and its family_of spec."""
+    members = [Graph(len(o), zip(o, o[1:])) for o in orders]
+    specs = ",".join(f"graph_index({g.n},{graph_code(g)})" for g in members)
+    return f"family_of({specs})", GraphFamily(members)
 
 
 def _common_end(members) -> bool:
@@ -308,117 +304,81 @@ def _common_end(members) -> bool:
 
 def _suite_thm4_sdf_one(budget: Budget) -> list[Unit]:
     units: list[Unit] = []
-    paths4 = _all_labeled_paths(4)
+    # one orientation per labeled path
+    paths4 = [p for p in permutations(range(4)) if p[0] < p[-1]]
+
+    def check_exhaustive(fam):
+        value, common = _sdf(fam), _common_end(fam.members)
+        return (value == 1) == common, f"common_end={common} value={_fmt(value)}"
 
     for size in (2, 3):
-        cases = []
-        for combo in combinations(range(len(paths4)), size):
-            specs = [paths4[i][0] for i in combo]
-            cases.append((f"family_of({','.join(specs)})", combo))
-
-        def check(combo, paths=paths4):
-            members = [paths[i][1] for i in combo]
-            fam = GraphFamily(members)
-            value = simultaneous_fractional_dimension(fam).value
-            expected_one = _common_end(members)
-            if (value == 1) == expected_one:
-                return True, ""
-            return False, f"common_end={expected_one} value={_fmt(value)}"
-
+        families = dict(map(_path_family, combinations(paths4, size)))
         units.append(
             _batch_unit(
-                f"value is 1 exactly for shared-end families: all {len(cases)} "
+                f"value is 1 exactly for shared-end families: all {len(families)} "
                 f"{size}-member families of 4-vertex paths",
-                cases,
-                check,
+                families,
+                check_exhaustive,
+                families.__getitem__,
             )
         )
 
-    for n in range(2, 9):
-        spec = f"path_family({n},shared_end)"
-        units.append(
-            _value_unit(
-                f"shared-end path family on {n} vertices has value 1",
-                spec,
-                Fraction(1),
-                lambda s=spec: _sdf(s),
+    for mode, low, what in (("shared_end", 2, "shared-end"), ("rotations", 3, "rotated")):
+        for n in range(low, 9):
+            spec = f"path_family({n},{mode})"
+            expected = oracle_sdimf(spec).value
+            units.append(
+                _value_unit(f"{what} path family on {n} vertices has value {_fmt(expected)}",
+                            spec, expected, _sdf)
             )
-        )
-    for n in range(3, 9):
-        spec = f"path_family({n},rotations)"
-        units.append(
-            _value_unit(
-                f"rotated path family on {n} vertices has value {n}/{n - 1}",
-                spec,
-                Fraction(n, n - 1),
-                lambda s=spec: _sdf(s),
-            )
-        )
 
-    spec = "family_of(path(5),cycle(5))"
     units.append(
-        ("a family with a non-path member exceeds 1",
-         lambda s=spec: ((v := _sdf(s)) > 1, f"spec={s} value={_fmt(v)}"))
+        _spec_unit("a family with a non-path member exceeds 1", "family_of(path(5),cycle(5))",
+                   lambda fam: ((v := _sdf(fam)) > 1, f"value={_fmt(v)}"))
     )
 
     samples = budget.get("samples", 60)
-    rng = SplitMix64(budget.get("seed", DEFAULT_SEED) ^ 0x0444)
-    sampled = []
+    rng = _rng(budget, 0x0444)
+    specs, families = [], {}
     for _ in range(samples):
-        n = 5 + rng.below(4)
-        k = 2 + rng.below(2)
+        n = _size(rng, 5, 8)
         orders = []
-        for _ in range(k):
+        for _ in range(2 + rng.below(2)):
             order = list(range(n))
             rng.shuffle(order)
             orders.append(order)
-        members = [Graph(n, [(o[i], o[i + 1]) for i in range(n - 1)]) for o in orders]
-        specs = ",".join(f"graph_index({n},{graph_code(g)})" for g in members)
-        sampled.append((f"family_of({specs})", members))
+        spec, fam = _path_family(orders)
+        specs.append(spec)
+        families[spec] = fam
 
-    def check_sampled(members):
-        fam = GraphFamily(members)
-        value = simultaneous_fractional_dimension(fam).value
-        if _common_end(members):
-            ok = value == 1
-        else:
-            ok = value == Fraction(fam.n, fam.n - 1)
-        if ok:
-            return True, ""
-        return False, f"common_end={_common_end(members)} value={_fmt(value)}"
+    def check_sampled(fam):
+        value, common = _sdf(fam), _common_end(fam.members)
+        ok = value == 1 if common else value == Fraction(fam.n, fam.n - 1)
+        return ok, f"common_end={common} value={_fmt(value)}"
 
     units.append(
         _batch_unit(
             f"both directions on {samples} sampled path families (5 <= n <= 8)",
-            sampled,
+            specs,
             check_sampled,
+            families.__getitem__,
         )
     )
     return units
 
 
 def _suite_example1_figures(budget: Budget) -> list[Unit]:
-    table = [
-        ("fig1a", Fraction(3, 2)),
-        ("fig1b", Fraction(3)),
-        ("fig2", Fraction(6)),
-        ("fig3", Fraction(5, 2)),
-        ("fig3_sub", Fraction(2)),
-    ]
-    return [
-        _value_unit(
-            f"fixed family {spec} has simultaneous value {_fmt(expected)}",
-            spec,
-            expected,
-            lambda s=spec: _sdf(s),
+    units = []
+    for spec in ("fig1a", "fig1b", "fig2", "fig3", "fig3_sub"):
+        expected = oracle_sdimf(spec).value
+        units.append(
+            _value_unit(f"fixed family {spec} has simultaneous value {_fmt(expected)}",
+                        spec, expected, _sdf)
         )
-        for spec, expected in table
-    ]
+    return units
 
 
 def _suite_prop_mg_constant(budget: Budget) -> list[Unit]:
-    from .metric import family_twin_multiplicity
-
     units = []
     roster = (
         [("fig3", 2)]
@@ -426,68 +386,65 @@ def _suite_prop_mg_constant(budget: Budget) -> list[Unit]:
         + [(f"twin_cycle_family({n})", 2) for n in range(5, 10)]
     )
     for spec, m in roster:
-        def run(s=spec, m=m) -> tuple[bool, str]:
-            fam = generate(s)
+        def check(fam, m=m) -> tuple[bool, str]:
             mults = {family_twin_multiplicity(fam, u) for u in range(fam.n)}
             if mults != {m}:
-                return False, f"spec={s} multiplicities={sorted(mults)} expected constant {m}"
-            value = simultaneous_fractional_dimension(fam).value
-            expected = Fraction(fam.n, 2)
-            if value != expected:
-                return False, f"spec={s} expected={_fmt(expected)} actual={_fmt(value)}"
-            return True, f"spec={s} m={m} value={_fmt(value)}"
+                return False, f"multiplicities={sorted(mults)} expected constant {m}"
+            value, expected = _sdf(fam), Fraction(fam.n, 2)
+            return _verdict(
+                value == expected,
+                f"m={m} value={_fmt(value)}",
+                f"expected={_fmt(expected)} actual={_fmt(value)}",
+            )
 
         units.append(
-            (f"constant twin multiplicity {m} forces n/2 for {spec}", run)
+            _spec_unit(f"constant twin multiplicity {m} forces n/2 for {spec}", spec, check)
         )
     return units
 
 
 def _suite_prop7_vertex_transitive(budget: Budget) -> list[Unit]:
-    units = []
     roster = (
         [f"cycle_family({n},3,{100 + n})" for n in range(5, 11)]
         + ["petersen_family(2,7)", "petersen_family(3,21)"]
         + [f"circulant_family({n},3,{200 + n})" for n in range(6, 11)]
     )
-    for spec in roster:
-        def run(s=spec) -> tuple[bool, str]:
-            fam = generate(s)
-            best = Fraction(0)
-            for g in fam.members:
-                if not is_vertex_transitive(g):
-                    return False, f"spec={s} has a non-vertex-transitive member"
-                best = max(best, Fraction(g.n, r_of(g)))
-            value = simultaneous_fractional_dimension(fam).value
-            if value == best:
-                return True, f"spec={s} value={_fmt(value)}"
-            return False, f"spec={s} expected={_fmt(best)} actual={_fmt(value)}"
 
-        units.append(
-            (f"{spec}: pooled value equals the max member ratio |V|/r", run)
-        )
-    return units
+    def check(fam) -> tuple[bool, str]:
+        best = Fraction(0)
+        for g in fam.members:
+            if not is_vertex_transitive(g):
+                return False, "has a non-vertex-transitive member"
+            best = max(best, Fraction(g.n, r_of(g)))
+        return _expect(best, _sdf(fam))
+
+    return [
+        _spec_unit(f"{spec}: pooled value equals the max member ratio |V|/r", spec, check)
+        for spec in roster
+    ]
 
 
-def _diam2_samples(budget: Budget, default_samples: int):
+def _connected_samples(budget: Budget, salt: int, default_samples: int,
+                       percents: tuple[int, ...], keep) -> dict[str, Graph]:
+    """Seeded random_connected graphs that satisfy ``keep``, by spec."""
     samples = budget.get("samples", default_samples)
     cap = budget.get("n", 10)
-    rng = SplitMix64(budget.get("seed", DEFAULT_SEED) ^ 0xD1A2)
-    cases = []
-    attempts = 0
-    while len(cases) < samples and attempts < 100 * samples:
-        attempts += 1
-        n = 4 + rng.below(max(cap - 3, 1))
-        p = (35, 45, 55, 65)[rng.below(4)]
-        seed = rng.next_u64()
-        g = generate(f"random_connected({n},{p},{seed})")
-        if diameter(g) == 2:
-            cases.append((f"random_connected({n},{p},{seed})", g))
-    return cases
+    rng = _rng(budget, salt)
+    kept: dict[str, Graph] = {}
+    for _ in range(100 * samples):
+        if len(kept) == samples:
+            break
+        n, p = _size(rng, 4, cap), percents[rng.below(4)]
+        spec = f"random_connected({n},{p},{rng.next_u64()})"
+        g = generate(spec)
+        if keep(g):
+            kept[spec] = g
+    return kept
 
 
 def _suite_lemma10_diam2_subset(budget: Budget) -> list[Unit]:
-    cases = _diam2_samples(budget, 120)
+    kept = _connected_samples(budget, 0xD1A2, 120, (35, 45, 55, 65),
+                              lambda g: diameter(g) == 2)
 
     def check(g: Graph):
         pairs = combinations(range(g.n), 2)
@@ -498,46 +455,32 @@ def _suite_lemma10_diam2_subset(budget: Budget) -> list[Unit]:
 
     return [
         _batch_unit(
-            f"resolver sets of {len(cases)} random diameter-2 graphs embed in "
+            f"resolver sets of {len(kept)} random diameter-2 graphs embed in "
             "their complements'",
-            cases,
+            kept,
             check,
+            kept.__getitem__,
         )
     ]
 
 
 def _suite_thm11_complement(budget: Budget) -> list[Unit]:
-    samples = budget.get("samples", 60)
-    cap = budget.get("n", 10)
-    rng = SplitMix64(budget.get("seed", DEFAULT_SEED) ^ 0x7E11)
-    cases = []
-    attempts = 0
-    while len(cases) < samples and attempts < 100 * samples:
-        attempts += 1
-        n = 4 + rng.below(max(cap - 3, 1))
-        p = (30, 45, 60, 75)[rng.below(4)]
-        seed = rng.next_u64()
-        g = generate(f"random_connected({n},{p},{seed})")
-        d, dbar = diameter(g), diameter(complement(g))
-        if d == 3 and dbar == 3:
-            continue  # outside the hypothesis
-        cases.append((f"random_connected({n},{p},{seed})", g))
+    # both diameters 3 is outside the hypothesis
+    kept = _connected_samples(budget, 0x7E11, 60, (30, 45, 60, 75),
+                              lambda g: (diameter(g), diameter(complement(g))) != (3, 3))
 
     def check(g: Graph):
         comp = complement(g)
         first = g if diameter(g) <= diameter(comp) else comp
-        expected = fractional_dimension(first).value
-        value = simultaneous_fractional_dimension(with_complement(g)).value
-        if value == expected:
-            return True, ""
-        return False, f"expected={_fmt(expected)} actual={_fmt(value)}"
+        return _expect(_dimf(first), _pair(g))
 
     return [
         _batch_unit(
             f"pair value equals the smaller-diameter side's dimension on "
-            f"{len(cases)} random graphs",
-            cases,
+            f"{len(kept)} random graphs",
+            kept,
             check,
+            kept.__getitem__,
         )
     ]
 
@@ -552,66 +495,44 @@ def _is_tiny_path_or_co(g: Graph) -> bool:
 
 
 def _suite_thm8_characterizations(budget: Budget) -> list[Unit]:
+    def check(g: Graph, exhaustive: bool = False) -> tuple[bool, str]:
+        all_twins = has_fixed_point_free_twin_permutation(g)
+        half = Fraction(g.n, 2)
+        dimf = _dimf(g)
+        if (dimf == half) != all_twins:
+            return False, f"(g) dim_f={_fmt(dimf)} all_twins={all_twins}"
+        sdf = _pair(g)
+        if (sdf == half) != all_twins:
+            return False, f"(b) pair value={_fmt(sdf)} all_twins={all_twins}"
+        if exhaustive and (sdf == 1) != _is_tiny_path_or_co(g):
+            return False, f"(a) pair value={_fmt(sdf)}"
+        return True, ""
+
     units = []
     # exhaustive bound has its own key: 2^binom(n,2) graphs is steep in n
     cap = min(budget.get("exhaustive_n", 5), 6)
     for n in range(2, cap + 1):
-        pair_count = n * (n - 1) // 2
-        cases = [
-            (f"graph_index({n},{code})", code) for code in range(1 << pair_count)
-        ]
-
-        def check_all(code, n=n):
-            g = generate(f"graph_index({n},{code})")
-            all_twins = all(len(c) >= 2 for c in twin_partition(g).classes)
-            half = Fraction(n, 2)
-            dimf = fractional_dimension(g).value
-            if (dimf == half) != all_twins:
-                return False, f"(g) dim_f={_fmt(dimf)} all_twins={all_twins}"
-            sdf = simultaneous_fractional_dimension(with_complement(g)).value
-            if (sdf == half) != all_twins:
-                return False, f"(b) pair value={_fmt(sdf)} all_twins={all_twins}"
-            if (sdf == 1) != _is_tiny_path_or_co(g):
-                return False, f"(a) pair value={_fmt(sdf)}"
-            return True, ""
-
+        count = 1 << n * (n - 1) // 2
         units.append(
             _batch_unit(
-                f"n/2 and =1 characterizations on all {1 << pair_count} labeled "
-                f"graphs with n={n}",
-                cases,
-                check_all,
+                f"n/2 and =1 characterizations on all {count} labeled graphs with n={n}",
+                [f"graph_index({n},{code})" for code in range(count)],
+                lambda g: check(g, exhaustive=True),
             )
         )
 
     samples = budget.get("samples", 60)
     size_cap = budget.get("n", 9)
-    rng = SplitMix64(budget.get("seed", DEFAULT_SEED) ^ 0x0888)
-    sampled = []
+    rng = _rng(budget, 0x0888)
+    specs = []
     for _ in range(samples):
-        n = 6 + rng.below(max(size_cap - 5, 1))
-        pair_count = n * (n - 1) // 2
-        code = rng.next_u64() % (1 << pair_count)
-        sampled.append((f"graph_index({n},{code})", (n, code)))
-
-    def check_sampled(payload):
-        n, code = payload
-        g = generate(f"graph_index({n},{code})")
-        all_twins = all(len(c) >= 2 for c in twin_partition(g).classes)
-        half = Fraction(n, 2)
-        dimf = fractional_dimension(g).value
-        if (dimf == half) != all_twins:
-            return False, f"(g) dim_f={_fmt(dimf)} all_twins={all_twins}"
-        sdf = simultaneous_fractional_dimension(with_complement(g)).value
-        if (sdf == half) != all_twins:
-            return False, f"(b) pair value={_fmt(sdf)} all_twins={all_twins}"
-        return True, ""
-
+        n = _size(rng, 6, size_cap)
+        specs.append(f"graph_index({n},{rng.next_u64() % (1 << n * (n - 1) // 2)})")
     units.append(
         _batch_unit(
             f"characterizations on {samples} sampled graphs with 6 <= n <= {size_cap}",
-            sampled,
-            check_sampled,
+            specs,
+            check,
         )
     )
     return units
@@ -620,22 +541,12 @@ def _suite_thm8_characterizations(budget: Budget) -> list[Unit]:
 def _suite_thm14_trees(budget: Budget) -> list[Unit]:
     trees = budget.get("trees", 40)
     cap = budget.get("n", 12)
-    rng = SplitMix64(budget.get("seed", DEFAULT_SEED) ^ 0x7255)
-    cases = []
-    while len(cases) < trees:
-        n = 5 + rng.below(max(cap - 4, 1))
-        seed = rng.next_u64()
-        cases.append((f"random_tree({n},{seed})", f"random_tree({n},{seed})"))
+    rng = _rng(budget, 0x7255)
+    specs = [f"random_tree({_size(rng, 5, cap)},{rng.next_u64()})" for _ in range(trees)]
 
-    def check(spec):
-        t = generate(spec)
-        tbar = complement(t)
-        value = simultaneous_fractional_dimension(with_complement(t)).value
-        own = fractional_dimension(t).value
-        other = fractional_dimension(tbar).value
-        if value == other and other >= own:
-            return True, ""
-        return False, (
+    def check(t: Graph):
+        value, own, other = _pair(t), _dimf(t), _dimf(complement(t))
+        return value == other >= own, (
             f"pair={_fmt(value)} dim_f(T)={_fmt(own)} dim_f(complement)={_fmt(other)}"
         )
 
@@ -643,7 +554,7 @@ def _suite_thm14_trees(budget: Budget) -> list[Unit]:
         _batch_unit(
             f"tree/complement pairs take the complement's dimension on {trees} "
             f"random trees (n <= {cap})",
-            cases,
+            specs,
             check,
         )
     ]
@@ -655,20 +566,17 @@ def _suite_prop12_paths(budget: Budget) -> list[Unit]:
     for n in range(2, cap + 1):
         spec = f"with_complement(path({n}))"
 
-        def run(n=n, s=spec) -> tuple[bool, str]:
-            g = generate(f"path({n})")
-            value = simultaneous_fractional_dimension(with_complement(g)).value
-            if n in (2, 3):
-                expected = Fraction(1)
-            elif n == 4:
-                expected = Fraction(4, 3)
-            else:
-                expected = fractional_dimension(complement(g)).value
-            if value == expected and value >= 1:
-                return True, f"spec={s} value={_fmt(value)}"
-            return False, f"spec={s} expected={_fmt(expected)} actual={_fmt(value)}"
+        def check(fam, n=n, s=spec) -> tuple[bool, str]:
+            value = _sdf(fam)
+            # P_2, P_3, P_4 have a pair closed form; longer paths take the complement's value
+            expected = oracle_sdimf(s).value if n <= 4 else _dimf(fam.members[1])
+            return _verdict(
+                value == expected and value >= 1,
+                f"value={_fmt(value)}",
+                f"expected={_fmt(expected)} actual={_fmt(value)}",
+            )
 
-        units.append((f"path/complement pair value for n={n}", run))
+        units.append(_spec_unit(f"path/complement pair value for n={n}", spec, check))
     return units
 
 
@@ -677,20 +585,17 @@ def _suite_prop15_cycles(budget: Budget) -> list[Unit]:
     cap = budget.get("n", 12)
     for n in range(3, cap + 1):
         spec = f"with_complement(cycle({n}))"
-        expected = Fraction(n, 2) if n in (3, 4) else Fraction(n, 4)
 
-        def run(n=n, s=spec, expected=expected) -> tuple[bool, str]:
-            g = generate(f"cycle({n})")
-            value = simultaneous_fractional_dimension(with_complement(g)).value
-            comp_value = fractional_dimension(complement(g)).value
-            if value == expected == comp_value:
-                return True, f"spec={s} value={_fmt(value)}"
-            return False, (
-                f"spec={s} expected={_fmt(expected)} actual={_fmt(value)} "
-                f"complement={_fmt(comp_value)}"
+        def check(fam, expected=oracle_sdimf(spec).value) -> tuple[bool, str]:
+            value, comp_value = _sdf(fam), _dimf(fam.members[1])
+            return _verdict(
+                value == expected == comp_value,
+                f"value={_fmt(value)}",
+                f"expected={_fmt(expected)} actual={_fmt(value)} "
+                f"complement={_fmt(comp_value)}",
             )
 
-        units.append((f"cycle/complement pair value for n={n}", run))
+        units.append(_spec_unit(f"cycle/complement pair value for n={n}", spec, check))
     return units
 
 
@@ -720,84 +625,65 @@ def _iso_h3(g: Graph) -> bool:
     return g.has_edge(supports[0], supports[1])
 
 
-def _expected_unicyclic_pair(g: Graph):
-    """(expected Sd_f, required dim_f(G) or None) per the trichotomy."""
-    comp_dimf = fractional_dimension(complement(g)).value
-    if _iso_h1(g) or _iso_h2(g):
-        return comp_dimf + Fraction(1, 2), comp_dimf + Fraction(1, 2)
-    if _iso_h3(g):
-        return comp_dimf + Fraction(1, 3), comp_dimf + Fraction(1, 3)
-    return comp_dimf, None
+# The trichotomy's exceptions: each pairs to its own dimension, which exceeds
+# the complement's by the given offset.  Every other unicyclic graph pairs to
+# the complement's dimension.
+_UNICYCLIC_EXCEPTIONS = (
+    ("h1", _iso_h1, Fraction(1, 2)),
+    ("h2", _iso_h2, Fraction(1, 2)),
+    ("h3", _iso_h3, Fraction(1, 3)),
+)
 
 
 def _suite_unicyclic_table(budget: Budget) -> list[Unit]:
-    units: list[Unit] = []
     cap = min(budget.get("ab", 4), 6)
-
-    table: list[tuple[str, Fraction]] = []
+    table: list[str] = []
     for a in range(1, cap + 1):
-        for b in range(1, cap + 1):
-            for kind in ("unicyclic_a", "unicyclic_b", "unicyclic_d"):
-                spec = f"{kind}({a},{b})"
-                table.append((spec, oracle_sdimf(f"with_complement({spec})").value))
-        spec = f"unicyclic_c({a})"
-        table.append((spec, oracle_sdimf(f"with_complement({spec})").value))
-    for n in range(4, 9):
-        spec = f"kite({n})"
-        table.append((spec, oracle_sdimf(f"with_complement({spec})").value))
+        table += [f"{kind}({a},{b})" for b in range(1, cap + 1)
+                  for kind in ("unicyclic_a", "unicyclic_b", "unicyclic_d")]
+        table.append(f"unicyclic_c({a})")
+    table += [f"kite({n})" for n in range(4, 9)]
+    units = []
+    for spec in table:
+        pair = f"with_complement({spec})"
+        units.append(
+            _value_unit(f"template pair value for {spec}", pair,
+                        oracle_sdimf(pair).value, _sdf)
+        )
 
-    def make_table_unit(spec: str, expected: Fraction) -> Unit:
-        def run() -> tuple[bool, str]:
-            g = generate(spec)
-            value = simultaneous_fractional_dimension(with_complement(g)).value
-            if value != expected:
-                return False, (
-                    f"spec=with_complement({spec}) expected={_fmt(expected)} "
-                    f"actual={_fmt(value)}"
-                )
-            return True, f"spec=with_complement({spec}) value={_fmt(value)}"
-
-        return f"template pair value for {spec}", run
-
-    units.extend(make_table_unit(spec, expected) for spec, expected in table)
-
-    for spec, offset in (("h1", Fraction(1, 2)), ("h2", Fraction(1, 2)), ("h3", Fraction(1, 3))):
-        def run(s=spec, off=offset) -> tuple[bool, str]:
-            g = generate(s)
-            value = simultaneous_fractional_dimension(with_complement(g)).value
-            own = fractional_dimension(g).value
-            other = fractional_dimension(complement(g)).value
-            if value == own == other + off:
-                return True, f"spec=with_complement({s}) value={_fmt(value)}"
-            return False, (
-                f"spec=with_complement({s}) pair={_fmt(value)} own={_fmt(own)} "
-                f"complement={_fmt(other)} offset={_fmt(off)}"
+    for spec, _, offset in _UNICYCLIC_EXCEPTIONS:
+        def exception(fam, off=offset) -> tuple[bool, str]:
+            value, own, other = _sdf(fam), _dimf(fam.members[0]), _dimf(fam.members[1])
+            return _verdict(
+                value == own == other + off,
+                f"value={_fmt(value)}",
+                f"pair={_fmt(value)} own={_fmt(own)} complement={_fmt(other)} "
+                f"offset={_fmt(off)}",
             )
 
-        units.append((f"exceptional graph {spec} exceeds its complement by {_fmt(offset)}", run))
+        units.append(
+            _spec_unit(f"exceptional graph {spec} exceeds its complement by {_fmt(offset)}",
+                       f"with_complement({spec})", exception)
+        )
 
     samples = budget.get("samples", 30)
-    rng = SplitMix64(budget.get("seed", DEFAULT_SEED) ^ 0x0117)
-    cases = []
-    for _ in range(samples):
-        n = 3 + rng.below(8)
-        seed = rng.next_u64()
-        cases.append((f"random_unicyclic({n},{seed})", f"random_unicyclic({n},{seed})"))
+    rng = _rng(budget, 0x0117)
+    specs = [f"random_unicyclic({_size(rng, 3, 10)},{rng.next_u64()})" for _ in range(samples)]
 
-    def check(spec):
-        g = generate(spec)
-        expected, own_required = _expected_unicyclic_pair(g)
-        value = simultaneous_fractional_dimension(with_complement(g)).value
+    def check(g: Graph):
+        offset = next((off for _, iso, off in _UNICYCLIC_EXCEPTIONS if iso(g)), 0)
+        expected = _dimf(complement(g)) + offset
+        value = _pair(g)
         if value != expected:
             return False, f"expected={_fmt(expected)} actual={_fmt(value)}"
-        if own_required is not None and fractional_dimension(g).value != own_required:
-            return False, f"own dimension is not {_fmt(own_required)}"
+        if offset and _dimf(g) != expected:
+            return False, f"own dimension is not {_fmt(expected)}"
         return True, ""
 
     units.append(
         _batch_unit(
             f"trichotomy on {samples} random unicyclic graphs (n <= 10)",
-            cases,
+            specs,
             check,
         )
     )
@@ -807,81 +693,66 @@ def _suite_unicyclic_table(budget: Budget) -> list[Unit]:
 def _suite_remarks_gaps(budget: Budget) -> list[Unit]:
     units: list[Unit] = []
     for k in range(3, 7):
-        spec = f"remark_a_family({k})"
-
-        def run(k=k, s=spec) -> tuple[bool, str]:
-            fam = generate(s)
-            value = simultaneous_fractional_dimension(fam).value
-            member_max = max(fractional_dimension(g).value for g in fam.members)
+        def spider(fam, k=k) -> tuple[bool, str]:
+            value = _sdf(fam)
+            member_max = max(_dimf(g) for g in fam.members)
             gap = value - member_max
-            if value == k and member_max == Fraction(3, 2) and gap == k - Fraction(3, 2):
-                return True, f"spec={s} value={_fmt(value)} gap={_fmt(gap)}"
-            return False, (
-                f"spec={s} value={_fmt(value)} max={_fmt(member_max)} "
-                f"expected gap={_fmt(k - Fraction(3, 2))}"
+            return _verdict(
+                value == k and member_max == Fraction(3, 2) and gap == k - Fraction(3, 2),
+                f"value={_fmt(value)} gap={_fmt(gap)}",
+                f"value={_fmt(value)} max={_fmt(member_max)} "
+                f"expected gap={_fmt(k - Fraction(3, 2))}",
             )
 
-        units.append((f"lower-bound gap k-3/2 for the k={k} spider family", run))
+        units.append(_spec_unit(f"lower-bound gap k-3/2 for the k={k} spider family",
+                                f"remark_a_family({k})", spider))
 
     for k in range(3, 7):
-        spec = f"remark_b_family({k})"
-
-        def run(k=k, s=spec) -> tuple[bool, str]:
-            fam = generate(s)
+        def shared_twin(fam, k=k) -> tuple[bool, str]:
             rep = bounds_report(fam)
             upper = min(rep.sum_dimf, rep.half_n)
             gap = upper - rep.sdf
-            ok = (
-                rep.sdf == Fraction(3, 2)
-                and upper == Fraction(k + 3, 2)
-                and gap == Fraction(k, 2)
-            )
-            if ok:
-                return True, f"spec={s} value={_fmt(rep.sdf)} gap={_fmt(gap)}"
-            return False, (
-                f"spec={s} sdf={_fmt(rep.sdf)} min(sum,n/2)={_fmt(upper)} "
-                f"expected gap={_fmt(Fraction(k, 2))}"
+            return _verdict(
+                rep.sdf == Fraction(3, 2) and upper == Fraction(k + 3, 2)
+                and gap == Fraction(k, 2),
+                f"value={_fmt(rep.sdf)} gap={_fmt(gap)}",
+                f"sdf={_fmt(rep.sdf)} min(sum,n/2)={_fmt(upper)} "
+                f"expected gap={_fmt(Fraction(k, 2))}",
             )
 
-        units.append((f"upper-bound gap k/2 for the k={k} shared-twin family", run))
+        units.append(_spec_unit(f"upper-bound gap k/2 for the k={k} shared-twin family",
+                                f"remark_b_family({k})", shared_twin))
 
     for k in range(4, 9):
-        spec = f"star_family({k})"
-
-        def run(k=k, s=spec) -> tuple[bool, str]:
-            fam = generate(s)
+        def star(fam, k=k) -> tuple[bool, str]:
             sd = simultaneous_dimension(fam)
-            sdf = simultaneous_fractional_dimension(fam).value
+            sdf = _sdf(fam)
             gap = sd - sdf
-            if sd == k - 1 and sdf == Fraction(k, 2) and gap == Fraction(k - 2, 2):
-                return True, f"spec={s} sd={sd} sdf={_fmt(sdf)} gap={_fmt(gap)}"
-            return False, (
-                f"spec={s} sd={sd} expected {k - 1}; sdf={_fmt(sdf)} "
-                f"expected {_fmt(Fraction(k, 2))}"
+            return _verdict(
+                sd == k - 1 and sdf == Fraction(k, 2) and gap == Fraction(k - 2, 2),
+                f"sd={sd} sdf={_fmt(sdf)} gap={_fmt(gap)}",
+                f"sd={sd} expected {k - 1}; sdf={_fmt(sdf)} expected {_fmt(Fraction(k, 2))}",
             )
 
-        units.append((f"integral-fractional gap (k-2)/2 for the k={k} star family", run))
+        units.append(_spec_unit(f"integral-fractional gap (k-2)/2 for the k={k} star family",
+                                f"star_family({k})", star))
 
     for k in range(2, 5):
-        spec = f"fig5_tree({k})"
+        spec = f"with_complement(fig5_tree({k}))"
 
-        def run(k=k, s=spec) -> tuple[bool, str]:
-            g = generate(s)
-            comp = complement(g)
-            value = simultaneous_fractional_dimension(with_complement(g)).value
-            own = fractional_dimension(g).value
-            other = fractional_dimension(comp).value
-            expected = Fraction(3 * k, 2)
-            upper = min(own + other, Fraction(g.n, 2))
-            gap = upper - value
-            if value == own == other == expected and gap == Fraction(k, 2):
-                return True, f"spec=with_complement({s}) value={_fmt(value)} gap={_fmt(gap)}"
-            return False, (
-                f"spec=with_complement({s}) pair={_fmt(value)} own={_fmt(own)} "
-                f"complement={_fmt(other)} expected={_fmt(expected)}"
+        def spine(fam, k=k, expected=oracle_sdimf(spec).value) -> tuple[bool, str]:
+            value, own, other = _sdf(fam), _dimf(fam.members[0]), _dimf(fam.members[1])
+            gap = min(own + other, Fraction(fam.n, 2)) - value
+            return _verdict(
+                value == own == other == expected and gap == Fraction(k, 2),
+                f"value={_fmt(value)} gap={_fmt(gap)}",
+                f"pair={_fmt(value)} own={_fmt(own)} complement={_fmt(other)} "
+                f"expected={_fmt(expected)}",
             )
 
-        units.append((f"pair gap k/2 for the k={k} triple-leaf spine tree", run))
+        units.append(
+            _spec_unit(f"pair gap k/2 for the k={k} triple-leaf spine tree", spec, spine)
+        )
     return units
 
 

@@ -17,6 +17,10 @@ from .metric import is_vertex_transitive, r_of, tree_profile, twin_partition
 from .families import FamilySpec, format_spec, generate, parse_spec
 
 
+# Largest graph the exact automorphism search is asked to classify.
+_TRANSITIVITY_CAP = 16
+
+
 class NoClosedForm(LookupError):
     """No closed form known for the requested instance."""
 
@@ -148,7 +152,7 @@ def _dimf_by_kind(spec: FamilySpec) -> OracleValue | None:
     return None
 
 
-def oracle_dimf(obj: Graph | FamilySpec | str, transitivity_cap: int = 16) -> OracleValue:
+def oracle_dimf(obj: Graph | FamilySpec | str) -> OracleValue:
     """Closed-form fractional dimension of one graph, or NoClosedForm."""
     if not isinstance(obj, Graph):
         spec = parse_spec(obj) if isinstance(obj, str) else obj
@@ -158,7 +162,7 @@ def oracle_dimf(obj: Graph | FamilySpec | str, transitivity_cap: int = 16) -> Or
         g = generate(spec)
         if not isinstance(g, Graph):
             raise NoClosedForm(f"{format_spec(spec)} is a family; see oracle_sdimf")
-        return oracle_dimf(g, transitivity_cap)
+        return oracle_dimf(g)
     g = obj
     n = g.n
     if n < 2:
@@ -200,7 +204,7 @@ def oracle_dimf(obj: Graph | FamilySpec | str, transitivity_cap: int = 16) -> Or
             "all twin classes nontrivial forces n/2",
             "graphs whose twin classes all have size >= 2",
         )
-    if is_connected(g) and n <= transitivity_cap and is_vertex_transitive(g, transitivity_cap):
+    if is_connected(g) and n <= _TRANSITIVITY_CAP and is_vertex_transitive(g, _TRANSITIVITY_CAP):
         return _val(
             Fraction(n, r_of(g)),
             "vertex-transitive ratio |V|/r",
@@ -209,8 +213,17 @@ def oracle_dimf(obj: Graph | FamilySpec | str, transitivity_cap: int = 16) -> Or
     raise NoClosedForm("no closed form known")
 
 
+# Kinds whose pair with the complement has the graph's own dimension.
+_PAIRS_TO_OWN_DIMENSION = frozenset(
+    {"complete", "star", "kite", "h1", "wheel", "petersen", "h2", "h3", "unicyclic_c"}
+)
+
+
 def _sdimf_complement_pair(inner: FamilySpec) -> OracleValue:
     kind, params = inner.kind, inner.params
+    if kind in _PAIRS_TO_OWN_DIMENSION:
+        own = oracle_dimf(inner)
+        return _val(own.value, f"pairs to its own dimension: {own.source}", f"{own.applicability} with complement")
     if kind == "path":
         (n,) = params
         if n in (2, 3):
@@ -223,36 +236,9 @@ def _sdimf_complement_pair(inner: FamilySpec) -> OracleValue:
         if n in (3, 4):
             return _val(Fraction(n, 2), "small cycle pairs reach n/2", "C_3, C_4 with complement")
         return _val(Fraction(n, 4), "cycle complement ratio n/4", "cycles n >= 5 with complement")
-    if kind == "complete":
-        (n,) = params
-        return _val(Fraction(n, 2), "all twin classes nontrivial forces n/2", "complete graphs with complement")
-    if kind == "star":
-        (n,) = params
-        if n <= 3:
-            return _val(1, "two- and three-vertex paths pair to 1", "tiny stars with complement")
-        return _val(Fraction(n - 1, 2), "star leaves are mutual twins", "stars with complement")
-    if kind == "kite" or kind == "h1":
-        n = params[0] if params else 4
-        v = Fraction(3, 2) if n == 4 else Fraction(n - 1, 2)
-        return _val(v, "star-plus-edge pair closed form", "stars with one leaf edge, with complement")
-    if kind == "wheel":
-        (n,) = params
-        if n <= 5:
-            v = Fraction(2)
-        elif n == 6:
-            v = Fraction(3, 2)
-        else:
-            v = Fraction(n - 1, 4)
-        return _val(v, "small-diameter graphs pair to their own dimension", "wheels with complement")
-    if kind == "petersen":
-        return _val(Fraction(5, 3), "small-diameter graphs pair to their own dimension", "Petersen with complement")
     if kind == "fig5_tree":
         (k,) = params
         return _val(Fraction(3 * k, 2), "triple-leaf spine tree pair value 3k/2", "triple-leaf spine trees with complement")
-    if kind == "h2":
-        return _val(2, "four-cycle plus pendant pair value 2", "the 5-vertex cycle-with-pendant")
-    if kind == "h3":
-        return _val(2, "four-cycle with two adjacent pendants pair value 2", "the 6-vertex double-pendant cycle")
     if kind == "unicyclic_a":
         a, b = params
         if a == 1:
@@ -269,10 +255,6 @@ def _sdimf_complement_pair(inner: FamilySpec) -> OracleValue:
         else:
             v = Fraction(a + b + 1, 2)
         return _val(v, "triangle-with-two-leaf-sets pair table", "triangle unicyclic template (b)")
-    if kind == "unicyclic_c":
-        (a,) = params
-        v = Fraction(2) if a == 1 else Fraction(a + 2, 2)
-        return _val(v, "four-cycle-with-leaves pair table", "four-cycle unicyclic template (c)")
     if kind == "unicyclic_d":
         a, b = params
         if a == 1 and b == 1:
@@ -285,7 +267,8 @@ def _sdimf_complement_pair(inner: FamilySpec) -> OracleValue:
     raise NoClosedForm(f"no closed form for with_complement({format_spec(inner)})")
 
 
-def oracle_sdimf(spec: FamilySpec | str, transitivity_cap: int = 16) -> OracleValue:
+
+def oracle_sdimf(spec: FamilySpec | str) -> OracleValue:
     """Closed-form simultaneous fractional dimension of a family spec."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
@@ -306,7 +289,7 @@ def oracle_sdimf(spec: FamilySpec | str, transitivity_cap: int = 16) -> OracleVa
         fam = generate(spec)
         best = Fraction(0)
         for g in fam.members:
-            if not is_vertex_transitive(g, transitivity_cap):
+            if not is_vertex_transitive(g, _TRANSITIVITY_CAP):
                 raise NoClosedForm("a member failed the vertex-transitivity check")
             best = max(best, Fraction(g.n, r_of(g)))
         return _val(best, "vertex-transitive families take the max member value", "vertex-transitive families")

@@ -283,3 +283,20 @@ def test_closed_stdout_exits_quietly(argv):
     assert proc.returncode == 0
     assert b"Traceback" not in proc.stderr
     assert proc.stderr == b""
+
+
+def test_decimal_digits_come_from_the_exact_value(capsys):
+    code, out, _ = run(capsys, "dimf", "--spec", "petersen", "--decimal", "40")
+    assert code == 0
+    assert "decimal 1." + "6" * 39 + "7 (approximate)" in out
+    code, out, _ = run(capsys, "dimf", "--spec", "petersen", "--decimal", "5000")
+    assert code == 0 and "decimal 1." + "6" * 4999 + "7 (approximate)" in out
+    code, out, _ = run(capsys, "sdimf", "--spec", "fig1a", "--decimal", "0", "--json")
+    assert code == 0 and json.loads(out)["decimal_approx"] == "2"  # 3/2, ties to even
+
+
+def test_negative_decimal_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dimf", "--spec", "petersen", "--decimal", "-1"])
+    assert exc.value.code == 2
+    assert "--decimal" in capsys.readouterr().err

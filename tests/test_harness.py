@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import inspect
 import json
 import re
@@ -5,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+import fracdim.dimension as dimension
 import fracdim.harness as harness
-from fracdim.harness import Budget, SUITE_ORDER, run_suite
+from fracdim.families import generate
+from fracdim.harness import Budget, SUITE_ORDER, run_all, run_suite
 from fracdim.oracles import OracleValue
 
 
@@ -89,3 +93,62 @@ def test_rendered_text_is_identical_across_runs():
     b = run_suite("prop15_cycles", {"n": 8}).render_text()
     assert a == b
     assert a.endswith("passed") and " ms" not in a
+
+
+def _suite_digest(budget) -> str:
+    data = [
+        (r.suite, [(c.description, c.status, c.witness) for c in r.checks])
+        for r in run_all(budget)
+    ]
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "budget, digest",
+    [
+        (
+            {"samples": 6, "trees": 6, "n": 7, "exhaustive_n": 4, "ab": 2},
+            "0091ab8908b919e7c28b6bc0801d4342c967cad27e9272fb64df73e89a4c3a31",
+        ),
+        (
+            {"seed": 7, "samples": 9, "trees": 9, "n": 8, "exhaustive_n": 4, "ab": 3},
+            "eb219e71f56536ffc52d598fd136c8786a40a9ed797a056366b5f73390ce0528",
+        ),
+    ],
+)
+def test_suite_text_is_pinned(budget, digest):
+    # Every description, status and witness of every suite, at a small budget.
+    assert _suite_digest(budget) == digest
+
+
+def test_every_failing_witness_regenerates_its_instance(monkeypatch):
+    off = Fraction(1, 7)
+    calls = []
+
+    def perturbed(engine, shift):
+        def run(arg):
+            calls.append(engine)
+            return shift(getattr(dimension, engine)(arg))
+        return run
+
+    def shifted(res, by):
+        return dataclasses.replace(
+            res, value=res.value + by, assignment=tuple(x - by for x in res.assignment)
+        )
+
+    # The two fractional engines drift apart, so checks comparing them fail too.
+    for engine, shift in (
+        ("fractional_dimension", lambda r: shifted(r, -off)),
+        ("simultaneous_fractional_dimension", lambda r: shifted(r, off)),
+        ("bounds_report", lambda r: dataclasses.replace(r, sdf=r.sdf + off)),
+    ):
+        monkeypatch.setattr(harness, engine, perturbed(engine, shift))
+
+    budget = {"samples": 6, "trees": 6, "n": 7, "exhaustive_n": 4, "ab": 2}
+    for name in SUITE_ORDER:
+        calls.clear()
+        failing = [c for c in run_suite(name, budget).checks if c.status == "fail"]
+        assert bool(failing) == bool(calls), name
+        for c in failing:
+            assert c.witness.startswith("spec="), (name, c)
+            generate(c.witness.split()[0].removeprefix("spec="))
