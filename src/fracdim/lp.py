@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Collection, Iterable, Sequence
 
 
@@ -214,28 +215,45 @@ def verify_solution(lp: CoveringLp, sol: LpSolution) -> None:
     """Re-verify a solution by direct substitution; raises CertificateError.
 
     Checks primal feasibility, value = sum of assignment, dual feasibility,
-    and exact strong duality.  Independent of the simplex bookkeeping.
+    and exact strong duality.  Independent of the simplex bookkeeping.  Every
+    number is scaled to an integer over L, the lcm of all the denominators,
+    so each check compares integer sums; the dual rows are loaded from the
+    non-zero y_S only.
     """
     n, sets = lp.n_vars, lp.cover_sets
     m = len(sets)
     x = sol.assignment
     if len(x) != n or len(sol.dual) != m + n:
         raise CertificateError("solution shape does not match the instance")
-    if any(not (0 <= v <= 1) for v in x):
+    if any(not (0 <= v.numerator <= v.denominator) for v in x):
         raise CertificateError("assignment leaves [0, 1]")
+    L = lcm(sol.value.denominator, *(v.denominator for v in (*x, *sol.dual)))
+
+    def scaled(v) -> int:
+        return v.numerator * (L // v.denominator)
+
+    X = [scaled(v) for v in x]
     for i, s in enumerate(sets):
-        if sum(x[v] for v in s) < 1:
+        if sum(map(X.__getitem__, s)) < L:
             raise CertificateError(f"cover set {i} is not satisfied")
-    if sum(x, Fraction(0)) != sol.value:
+    value = scaled(sol.value)
+    if sum(X) != value:
         raise CertificateError("value differs from the assignment total")
-    y = sol.dual[:m]
-    w = sol.dual[m:]
-    if any(v < 0 for v in sol.dual):
+    if any(v.numerator < 0 for v in sol.dual):
         raise CertificateError("negative dual component")
+    # load[v] = L * (sum_{S ∋ v} y_S - w_v); objective = L * (sum y - sum w)
+    load = [-scaled(v) for v in sol.dual[m:]]
+    objective = sum(load)
+    for s, v in zip(sets, sol.dual):
+        if v:
+            y = scaled(v)
+            objective += y
+            for u in s:
+                load[u] += y
     for v in range(n):
-        if sum(y[i] for i, s in enumerate(sets) if v in s) - w[v] > 1:
+        if load[v] > L:
             raise CertificateError(f"dual constraint violated at variable {v}")
-    if sum(y, Fraction(0)) - sum(w, Fraction(0)) != sol.value:
+    if objective != value:
         raise CertificateError("dual objective does not match the primal value")
 
 
@@ -266,6 +284,11 @@ def min_hitting_set(lp: CoveringLp) -> frozenset[int]:
     is searched by iterative deepening on the target cardinality, starting
     from the ceiling of its own LP value, with depth-first branch-and-bound;
     a greedy packing of disjoint uncovered sets prunes inside the search.
+    A node branches on the variables v_1, v_2, ... of its smallest uncovered
+    set, and branch i excludes v_1 .. v_{i-1} from every set below it
+    (d-Hitting-Set branching, Niedermeier and Rossmanith 2003), so each
+    chosen set is reached in one order only; a set that loses all of its
+    variables that way ends the node.
     """
     masks = _minimal_masks(dict.fromkeys(_mask(s) for s in lp.cover_sets))
     freq = [0] * lp.n_vars
@@ -289,14 +312,18 @@ def min_hitting_set(lp: CoveringLp) -> frozenset[int]:
         if len(chosen) + packing_lb(uncovered) > k:
             return None
         target = min(uncovered, key=int.bit_count)
+        keep = -1  # the variables not excluded by the branches before
         for v in sorted(_bits(target), key=priority.__getitem__):
             bit = 1 << v
-            rest = [mask for mask in uncovered if not mask & bit]
+            rest = [mask & keep for mask in uncovered if not mask & bit]
+            if not all(rest):
+                return None  # a set lies inside the excluded variables
             chosen.append(v)
             found = search(rest, chosen, k)
             chosen.pop()
             if found is not None:
                 return found
+            keep &= ~bit
         return None
 
     hit: list[int] = []

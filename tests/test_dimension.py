@@ -211,3 +211,63 @@ def test_mask_pipeline_matches_per_pair_definition(members):
     assert constraint_system(g, reduce=False) == [
         resolving_constraint(dm, x, y) for x, y in combinations(range(g.n), 2)
     ]
+
+
+@pytest.mark.parametrize("n", range(2, 19))
+def test_metric_dimension_of_complete_graphs(n):
+    assert metric_dimension(generate(f"complete({n})")) == n - 1
+
+
+@pytest.mark.parametrize("n", range(8, 31))
+def test_metric_dimension_of_wheels(n):
+    # dim(K_1 + C_r) = floor((2r + 2)/5) for a rim of r >= 7 vertices
+    # (Buczkowski, Chartrand, Poisson and Zhang 2003); here r = n - 1
+    assert metric_dimension(generate(f"wheel({n})")) == 2 * n // 5
+
+
+def test_metric_dimension_of_petersen():
+    assert metric_dimension(generate("petersen")) == 3
+
+
+def relabelled(g, perm):
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+small_families = st.integers(2, 7).flatmap(
+    lambda n: st.tuples(st.lists(any_graphs(n), min_size=1, max_size=3), st.permutations(range(n)))
+)
+
+
+@given(small_families)
+@settings(max_examples=60, deadline=None)
+def test_dimensions_invariant_under_vertex_relabelling(case):
+    members, perm = case
+    fam = GraphFamily(members)
+    moved = GraphFamily([relabelled(g, perm) for g in members])
+    assert simultaneous_fractional_dimension(moved).value == \
+        simultaneous_fractional_dimension(fam).value
+    assert simultaneous_dimension(moved) == simultaneous_dimension(fam)
+    g, h = members[0], moved.members[0]
+    assert fractional_dimension(h).value == fractional_dimension(g).value
+    assert metric_dimension(h) == metric_dimension(g)
+
+
+@given(small_families, st.data())
+@settings(max_examples=60, deadline=None)
+def test_family_dimensions_ignore_member_order_and_duplicates(case, data):
+    members, _ = case
+    fam = GraphFamily(members)
+    sdf, sd = simultaneous_fractional_dimension(fam).value, simultaneous_dimension(fam)
+    shuffled = data.draw(st.permutations(members))
+    extra = data.draw(st.sampled_from(members))
+    for variant in (GraphFamily(shuffled), GraphFamily(members + [extra])):
+        assert simultaneous_fractional_dimension(variant).value == sdf
+        assert simultaneous_dimension(variant) == sd
+
+
+@given(st.integers(2, 8).flatmap(any_graphs))
+@settings(max_examples=60, deadline=None)
+def test_complement_pair_is_symmetric(g):
+    h = complement(g)
+    assert simultaneous_fractional_dimension(GraphFamily([g, h])).value == \
+        simultaneous_fractional_dimension(GraphFamily([h, g])).value
