@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph
-from .lp import CoveringLp, _bits, _minimal_masks, min_hitting_set, solve_covering_lp
+from .lp import CoveringLp, _minimal_masks, min_hitting_set, solve_covering_lp
 from .metric import resolver_masks
 
 
@@ -80,18 +80,23 @@ def _minimal_union(systems: Iterable[Iterable[int]]) -> list[int]:
     return _minimal_masks(dict.fromkeys(m for masks in systems for m in masks))
 
 
+def _pooled(fam: GraphFamily) -> CoveringLp:
+    """The covering instance over the union of the members' minimal masks."""
+    return CoveringLp._from_masks(fam.n, _minimal_union(_member_masks(fam)))
+
+
 def joint_cover_sets(fam: GraphFamily) -> list[frozenset[int]]:
     """Union of the members' constraint systems, reduced globally.
 
     One set per distinct minimal resolver set, in the order of its first
     occurrence over (member, lexicographic pair).
     """
-    return [frozenset(_bits(m)) for m in _minimal_union(_member_masks(fam))]
+    return list(_pooled(fam).cover_sets)
 
 
-def _solve(n: int, sets: Sequence[Iterable[int]]) -> DimensionResult:
-    sol = solve_covering_lp(CoveringLp(n, sets))
-    return DimensionResult(sol.value, sol.assignment, sol.dual, len(sets))
+def _solve(lp: CoveringLp) -> DimensionResult:
+    sol = solve_covering_lp(lp)
+    return DimensionResult(sol.value, sol.assignment, sol.dual, len(lp.masks))
 
 
 def fractional_dimension(g: Graph) -> DimensionResult:
@@ -101,7 +106,7 @@ def fractional_dimension(g: Graph) -> DimensionResult:
 
 def simultaneous_fractional_dimension(fam: GraphFamily) -> DimensionResult:
     """Sd_f of the family; equals fractional_dimension for k = 1."""
-    return _solve(fam.n, joint_cover_sets(fam))
+    return _solve(_pooled(fam))
 
 
 def metric_dimension(g: Graph) -> int:
@@ -111,7 +116,7 @@ def metric_dimension(g: Graph) -> int:
 
 def simultaneous_dimension(fam: GraphFamily) -> int:
     """Sd of the family: minimum simultaneous resolving-set cardinality."""
-    return len(min_hitting_set(CoveringLp(fam.n, joint_cover_sets(fam))))
+    return len(min_hitting_set(_pooled(fam)))
 
 
 def bounds_report(fam: GraphFamily) -> BoundsReport:
@@ -123,10 +128,10 @@ def bounds_report(fam: GraphFamily) -> BoundsReport:
     if len(fam.members) < 2:
         raise ValueError("bounds reports are for families with k >= 2")
     members = [_minimal_union([masks]) for masks in _member_masks(fam)]
-    per_member = tuple(_solve(fam.n, list(map(_bits, ms))).value for ms in members)
-    sets = list(map(_bits, _minimal_union(members)))
-    pooled = _solve(fam.n, sets)
-    sd = len(min_hitting_set(CoveringLp(fam.n, sets)))
+    per_member = tuple(_solve(CoveringLp._from_masks(fam.n, ms)).value for ms in members)
+    lp = CoveringLp._from_masks(fam.n, _minimal_union(members))
+    pooled = _solve(lp)
+    sd = len(min_hitting_set(lp))
     report = BoundsReport(
         max_dimf=max(per_member),
         sum_dimf=sum(per_member, Fraction(0)),

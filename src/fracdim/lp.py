@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
-from typing import Collection, Iterable, Sequence
+from math import ceil, lcm
+from typing import Collection, Iterable, Iterator, Sequence
 
 
 class LpError(ValueError):
@@ -60,24 +60,38 @@ def parse_rational(text: str) -> Fraction:
 class CoveringLp:
     """A covering instance: variables 0..n_vars-1 and non-empty cover sets.
 
-    Duplicate or superset sets may be present; reduction is the caller's
-    concern (and never changes the optimum).
+    Cover set i is held only as the bitmask ``masks[i]`` (bit v set iff v is
+    in it); ``cover_sets`` is a read-only view of them as frozensets, in
+    order.  Duplicate or superset sets may be present; reduction is the
+    caller's concern (and never changes the optimum).
     """
 
     n_vars: int
-    cover_sets: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
 
     def __init__(self, n_vars: int, cover_sets: Iterable[Iterable[int]]):
-        if n_vars < 1:
+        if not isinstance(n_vars, int) or n_vars < 1:
             raise LpError(f"n_vars must be >= 1, got {n_vars}")
         sets = tuple(frozenset(s) for s in cover_sets)
         for i, s in enumerate(sets):
             if not s:
                 raise LpError(f"trivially infeasible constraint: cover set {i} is empty")
-            if any(not (0 <= v < n_vars) for v in s):
+            if any(not (isinstance(v, int) and 0 <= v < n_vars) for v in s):
                 raise LpError(f"cover set {i} mentions a variable outside 0..{n_vars - 1}")
         object.__setattr__(self, "n_vars", n_vars)
-        object.__setattr__(self, "cover_sets", sets)
+        object.__setattr__(self, "masks", tuple(map(_mask, sets)))
+
+    @classmethod
+    def _from_masks(cls, n_vars: int, masks: Iterable[int]) -> CoveringLp:
+        """Unchecked: the caller passes non-zero masks below ``1 << n_vars``."""
+        lp = object.__new__(cls)
+        object.__setattr__(lp, "n_vars", n_vars)
+        object.__setattr__(lp, "masks", tuple(masks))
+        return lp
+
+    @property
+    def cover_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(_bits(m)) for m in self.masks)
 
 
 @dataclass(frozen=True)
@@ -87,8 +101,9 @@ class LpSolution:
     ``dual`` has one entry per cover set followed by one per upper-bound row
     x_v <= 1; all entries are >= 0 and satisfy strong duality:
     sum(cover duals) - sum(upper duals) == value.  The solver never needs the
-    upper bounds, so its upper-bound duals are always zero; the entries stay
-    so that certificates keep one shape.
+    upper bounds, so its upper-bound duals are always zero.  They stay because
+    ``--certificate`` prints this m + n shape, a stable format in which
+    certificates printed earlier still verify.
     """
 
     value: Fraction
@@ -104,9 +119,11 @@ def _mask(s: Iterable[int]) -> int:
     return m
 
 
-def _bits(mask: int) -> list[int]:
+def _bits(mask: int) -> Iterator[int]:
     """The set bits of ``mask``, ascending."""
-    return [v for v, c in enumerate(reversed(bin(mask))) if c == "1"]
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
 
 def _minimal_masks(distinct: Collection[int]) -> list[int]:
@@ -154,16 +171,15 @@ def _lex_less(T, b, i, k, q, first_slack) -> bool:
 
 def solve_covering_lp(lp: CoveringLp) -> LpSolution:
     """Optimal basic solution with a matching dual certificate; deterministic."""
-    n = lp.n_vars
-    sets = lp.cover_sets
-    m = len(sets)
+    n, masks = lp.n_vars, lp.masks
+    m = len(masks)
 
     # Packing dual, one row per variable v:  sum_{S ∋ v} y_S + s_v = 1.
     # Columns: y_0..y_{m-1} | slack s_0..s_{n-1}.  Every entry is an integer
     # over the common denominator D.
     T = [[0] * (m + n) for _ in range(n)]
-    for j, s in enumerate(sets):
-        for v in s:
+    for j, mask in enumerate(masks):
+        for v in _bits(mask):
             T[v][j] = 1
     for v in range(n):
         T[v][m + v] = 1
@@ -217,48 +233,48 @@ def verify_solution(lp: CoveringLp, sol: LpSolution) -> None:
     Checks primal feasibility, value = sum of assignment, dual feasibility,
     and exact strong duality.  Independent of the simplex bookkeeping.  Every
     number is scaled to an integer over L, the lcm of all the denominators,
-    so each check compares integer sums; the dual rows are loaded from the
-    non-zero y_S only.
+    so each check compares integer sums.  Set S is covered by the sum of
+    w * |S & G| over the groups G of variables with scaled weight w > 0; the
+    dual rows are loaded from the non-zero y_S only.
     """
-    n, sets = lp.n_vars, lp.cover_sets
-    m = len(sets)
+    n, masks = lp.n_vars, lp.masks
+    m = len(masks)
     x = sol.assignment
     if len(x) != n or len(sol.dual) != m + n:
         raise CertificateError("solution shape does not match the instance")
-    if any(not (0 <= v.numerator <= v.denominator) for v in x):
-        raise CertificateError("assignment leaves [0, 1]")
     L = lcm(sol.value.denominator, *(v.denominator for v in (*x, *sol.dual)))
 
-    def scaled(v) -> int:
-        return v.numerator * (L // v.denominator)
+    def scaled(vs) -> list[int]:
+        return [v.numerator * (L // v.denominator) for v in vs]
 
-    X = [scaled(v) for v in x]
-    for i, s in enumerate(sets):
-        if sum(map(X.__getitem__, s)) < L:
+    X, Y = scaled(x), scaled(sol.dual)
+    if any(not (0 <= w <= L) for w in X):
+        raise CertificateError("assignment leaves [0, 1]")
+    cover = [0] * m
+    for w in set(X) - {0}:
+        g = sum(1 << v for v, u in enumerate(X) if u == w)
+        cover = [c + w * (s & g).bit_count() for c, s in zip(cover, masks)]
+    for i, c in enumerate(cover):
+        if c < L:
             raise CertificateError(f"cover set {i} is not satisfied")
-    value = scaled(sol.value)
+    (value,) = scaled([sol.value])
     if sum(X) != value:
         raise CertificateError("value differs from the assignment total")
-    if any(v.numerator < 0 for v in sol.dual):
+    if any(y < 0 for y in Y):
         raise CertificateError("negative dual component")
     # load[v] = L * (sum_{S ∋ v} y_S - w_v); objective = L * (sum y - sum w)
-    load = [-scaled(v) for v in sol.dual[m:]]
+    load = [-w for w in Y[m:]]
     objective = sum(load)
-    for s, v in zip(sets, sol.dual):
-        if v:
-            y = scaled(v)
+    for s, y in zip(masks, Y):
+        if y:
             objective += y
-            for u in s:
+            for u in _bits(s):
                 load[u] += y
     for v in range(n):
         if load[v] > L:
             raise CertificateError(f"dual constraint violated at variable {v}")
     if objective != value:
         raise CertificateError("dual objective does not match the primal value")
-
-
-def _ceil_fraction(v: Fraction) -> int:
-    return -((-v.numerator) // v.denominator)
 
 
 def _components(masks: Sequence[int]) -> list[int]:
@@ -290,12 +306,8 @@ def min_hitting_set(lp: CoveringLp) -> frozenset[int]:
     chosen set is reached in one order only; a set that loses all of its
     variables that way ends the node.
     """
-    masks = _minimal_masks(dict.fromkeys(_mask(s) for s in lp.cover_sets))
-    freq = [0] * lp.n_vars
-    for mask in masks:
-        for v in _bits(mask):
-            freq[v] += 1
-    priority = {v: (-freq[v], v) for v in range(lp.n_vars)}
+    masks = _minimal_masks(dict.fromkeys(lp.masks))
+    priority = {v: (-sum(m >> v & 1 for m in masks), v) for v in range(lp.n_vars)}
 
     def packing_lb(uncovered: list[int]) -> int:
         used = 0
@@ -329,10 +341,9 @@ def min_hitting_set(lp: CoveringLp) -> frozenset[int]:
     hit: list[int] = []
     for comp in _components(masks):
         group = sorted((m for m in masks if m & comp), key=int.bit_count)
-        cols = _bits(comp)
-        pos = {v: i for i, v in enumerate(cols)}
-        sub = CoveringLp(len(cols), [[pos[v] for v in _bits(m)] for m in group])
-        lower = _ceil_fraction(solve_covering_lp(sub).value)
+        cols = list(enumerate(_bits(comp)))
+        sub = [sum(1 << i for i, v in cols if m >> v & 1) for m in group]
+        lower = ceil(solve_covering_lp(CoveringLp._from_masks(len(cols), sub)).value)
         for k in range(lower, len(cols) + 1):
             found = search(group, [], k)
             if found is not None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -168,9 +169,10 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
 
 def test_sdimf_bounds_builds_each_member_system_once(monkeypatch, capsys):
     import fracdim.dimension
+    import fracdim.lp
     import fracdim.metric
 
-    calls = {"apsp": 0, "dimension_lp": 0, "joint_cover_sets": 0}
+    calls = {}
 
     def counting(key, fn):
         def wrapped(*args):
@@ -185,12 +187,46 @@ def test_sdimf_bounds_builds_each_member_system_once(monkeypatch, capsys):
                         counting("dimension_lp", fracdim.dimension.solve_covering_lp))
     monkeypatch.setattr(fracdim.dimension, "joint_cover_sets",
                         counting("joint_cover_sets", fracdim.dimension.joint_cover_sets))
-    code, out, _ = run(capsys, "sdimf", "--spec", "star_family(6)", "--bounds")
-    assert code == 0 and out.splitlines()[0] == "3"
+    monkeypatch.setattr(fracdim.lp.CoveringLp, "__init__",
+                        counting("CoveringLp", fracdim.lp.CoveringLp.__init__))
     k = len(fam)
-    # One BFS per member, k member solves plus one pooled solve, and no
-    # pooled system built outside bounds_report.
-    assert calls == {"apsp": k, "dimension_lp": k + 1, "joint_cover_sets": 0}
+    # (argv, first stdout line, BFS passes, LP solves in dimension.py).
+    # --bounds: one BFS per member, k member solves plus one pooled solve.
+    cases = [
+        (("sdimf", "--spec", "star_family(6)", "--bounds"), "3", k, k + 1),
+        (("sdimf", "--spec", "star_family(6)"), "3", k, 1),
+        (("sdim", "--spec", "star_family(6)"), "5", k, 0),
+        (("dimf", "--spec", "petersen"), "5/3", 1, 1),
+        (("dim", "--spec", "petersen"), "3", 1, 0),
+    ]
+    for argv, first, apsp, solves in cases:
+        calls.update(apsp=0, dimension_lp=0, joint_cover_sets=0, CoveringLp=0)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.splitlines()[0] == first, argv
+        # The resolver masks reach the LP and the hitting set as they are:
+        # no set-valued instance and no pooled system built on the way.
+        expected = {"apsp": apsp, "dimension_lp": solves, "joint_cover_sets": 0, "CoveringLp": 0}
+        assert calls == expected, argv
+
+
+ROSTER = [
+    line.split()
+    for line in (Path(__file__).parent / "certificate_roster.txt").read_text().splitlines()
+    if not line.startswith("#")
+]
+
+
+@pytest.mark.parametrize(
+    "digest, argv",
+    [(digest, argv) for digest, *argv in ROSTER],
+    ids=[" ".join(argv[:3:2]) + " --bounds" * ("--bounds" in argv) for _, *argv in ROSTER],
+)
+def test_certificate_output_is_pinned(capsys, digest, argv):
+    # Values, assignments and dual certificates of the unseeded fractional
+    # benchmark requests, byte for byte.
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_spec_producing_family_rejected_by_dimf(capsys):

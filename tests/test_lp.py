@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,31 @@ def test_cycle5_system():
 def test_empty_cover_set_rejected():
     with pytest.raises(LpError, match="trivially infeasible constraint"):
         CoveringLp(3, [{0, 1}, set()])
+
+
+@pytest.mark.parametrize(
+    "n_vars, sets, message",
+    [
+        (0, [{0}], "n_vars must be >= 1, got 0"),
+        (2.5, [{0, 1}], "n_vars must be >= 1, got 2.5"),
+        (3, [{0, 1}, set()], "cover set 1 is empty"),
+        (3, [{0, 1}, {3}], "cover set 1 mentions a variable outside 0..2"),
+        (3, [{-1, 0}], "cover set 0 mentions a variable outside 0..2"),
+        (3, [{0.5, 1}], "cover set 0 mentions a variable outside 0..2"),
+        (3, [{"a"}], "cover set 0 mentions a variable outside 0..2"),
+    ],
+)
+def test_constructor_rejects_each_bad_input(n_vars, sets, message):
+    with pytest.raises(LpError, match=re.escape(message)):
+        CoveringLp(n_vars, sets)
+
+
+def test_cover_sets_view_matches_the_masks():
+    lp = CoveringLp(3, [[1, 0], {2}, (0, 1)])
+    assert lp.masks == (0b011, 0b100, 0b011)
+    assert lp.cover_sets == (frozenset({0, 1}), frozenset({2}), frozenset({0, 1}))
+    assert lp == CoveringLp._from_masks(3, [0b011, 0b100, 0b011])
+    assert lp != CoveringLp(3, [{0, 1}, {2}])
 
 
 def test_solution_is_certified():
