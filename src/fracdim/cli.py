@@ -23,7 +23,7 @@ import sys
 from decimal import MAX_PREC, Context, Decimal
 from fractions import Fraction
 
-from .graph import Graph, GraphError, ParseError, _parse_blocks, complement, format_graph
+from .graph import Graph, GraphError, ParseError, _parse_blocks, format_graph
 from .lp import LpInternalError, format_rational
 from .metric import tree_profile, twin_partition
 from .dimension import (
@@ -34,7 +34,7 @@ from .dimension import (
     simultaneous_dimension,
     simultaneous_fractional_dimension,
 )
-from .families import generate, parse_spec
+from .families import generate, with_complement
 from .harness import Budget, SUITE_ORDER, run_suite
 
 
@@ -73,7 +73,7 @@ def _load(args) -> Graph | GraphFamily:
     if args.spec and args.input:
         raise ParseError("give either an input file or --spec, not both")
     if args.spec:
-        return generate(parse_spec(args.spec))
+        return generate(args.spec)
     if not args.input:
         raise ParseError("give an input file or --spec")
     n, blocks = _parse_blocks(_read_text(args.input))
@@ -94,7 +94,7 @@ def _load_family(args) -> GraphFamily:
     if getattr(args, "with_complement", False):
         if isinstance(obj, GraphFamily):
             raise ParseError("--with-complement needs a single-graph spec or file")
-        return GraphFamily([obj, complement(obj)], [name, "complement"])
+        return with_complement(obj, name)
     return obj if isinstance(obj, GraphFamily) else GraphFamily([obj], [name])
 
 
@@ -202,7 +202,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    obj = generate(parse_spec(args.spec))
+    obj = generate(args.spec)
     text = format_graph(obj) if isinstance(obj, Graph) else format_family_file(obj)
     if args.output and args.output != "-":
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -41,12 +41,16 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
-Param = Union[int, str, "FamilySpec"]
+Param = Union[int, "FamilySpec"]
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A generator kind plus its parameters, writable as ``kind(p1,p2)``."""
+    """A generator kind plus its parameters, writable as ``kind(p1,p2)``.
+
+    A parameter is an integer or a nested spec; a bare word such as the mode
+    ``rotations`` is the parameterless spec ``FamilySpec("rotations")``.
+    """
 
     kind: str
     params: tuple[Param, ...] = ()
@@ -55,78 +59,59 @@ class FamilySpec:
         return format_spec(self)
 
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|-?\d+|[(),])")
+# Spec levels allowed; the deepest valid spec, such as with_complement(cycle(7)),
+# has two.  The cap bounds the parser's recursion on any input.
+_MAX_NESTING = 8
+# Tokens (name, integer, other): "other" is any one character that is not
+# whitespace, and the parser accepts it only as "(", ")" or ",".
+_TOKEN = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)|(-?\d+)|(\S)")
+_END = ("", "", "")
+
+
+def _shown(token: tuple[str, str, str]) -> str:
+    return repr("".join(token)) if token != _END else "the end of the spec"
 
 
 def parse_spec(text: str) -> FamilySpec:
-    """Parse ``kind`` or ``kind(arg, ...)``; args may be nested specs."""
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ValueError(f"bad spec syntax near {text[pos:]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    idx = 0
+    """Parse ``kind`` or ``kind(p, ...)``; whitespace is ignored everywhere."""
+    tokens = _TOKEN.findall(text) + [_END]
+    spec, i = _parse_param(tokens, 0, 1)
+    if not isinstance(spec, FamilySpec):
+        raise ValueError(f"expected a kind name, got {_shown(tokens[0])}")
+    if tokens[i] != _END:
+        raise ValueError(f"trailing junk in spec: {_shown(tokens[i])}")
+    return spec
 
-    def peek() -> str | None:
-        return tokens[idx] if idx < len(tokens) else None
 
-    def take() -> str:
-        nonlocal idx
-        if idx >= len(tokens):
-            raise ValueError("unexpected end of spec")
-        tok = tokens[idx]
-        idx += 1
-        return tok
-
-    def argument() -> Param:
-        tok = peek()
-        if tok is not None and re.fullmatch(r"-?\d+", tok):
-            take()
-            return int(tok)
-        name = take()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", name):
-            raise ValueError(f"expected a name or integer, got {name!r}")
-        if peek() == "(":
-            return spec_tail(name)
-        return name  # bare word, e.g. a mode such as shared_end
-
-    def spec_tail(name: str) -> FamilySpec:
-        params: list[Param] = []
-        if peek() == "(":
-            take()
-            if peek() != ")":
-                while True:
-                    params.append(argument())
-                    if peek() == ",":
-                        take()
-                        continue
-                    break
-            if take() != ")":
-                raise ValueError("expected ')' in spec")
-        return FamilySpec(name, tuple(params))
-
-    def spec() -> FamilySpec:
-        name = take()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", name):
-            raise ValueError(f"expected a kind name, got {name!r}")
-        return spec_tail(name)
-
-    result = spec()
-    if idx != len(tokens):
-        raise ValueError(f"trailing junk in spec: {''.join(tokens[idx:])!r}")
-    return result
+def _parse_param(tokens: list[tuple[str, str, str]], i: int, depth: int) -> tuple[Param, int]:
+    """The parameter that starts at ``tokens[i]``, and the index after it."""
+    name, number, _ = tokens[i]
+    if number:
+        return int(number), i + 1
+    if not name:
+        raise ValueError(f"expected a name or integer, got {_shown(tokens[i])}")
+    if depth > _MAX_NESTING:
+        raise ValueError(f"spec nests deeper than {_MAX_NESTING} levels")
+    params: list[Param] = []
+    i += 1
+    if tokens[i][2] == "(" and tokens[i + 1][2] == ")":
+        i += 2
+    elif tokens[i][2] == "(":
+        sep = ","
+        while sep == ",":
+            param, i = _parse_param(tokens, i + 1, depth + 1)
+            params.append(param)
+            sep = tokens[i][2]
+        if sep != ")":
+            raise ValueError(f"expected ',' or ')' in spec, got {_shown(tokens[i])}")
+        i += 1
+    return FamilySpec(name, tuple(params)), i
 
 
 def format_spec(spec: FamilySpec) -> str:
     if not spec.params:
         return spec.kind
-    args = ",".join(
-        format_spec(p) if isinstance(p, FamilySpec) else str(p) for p in spec.params
-    )
-    return f"{spec.kind}({args})"
+    return f"{spec.kind}({','.join(map(str, spec.params))})"
 
 
 def _path_edges(order: Iterable[int]) -> list[tuple[int, int]]:
@@ -450,24 +435,17 @@ def graph_code(g: Graph) -> int:
     return code
 
 
-def family_of(graphs: Iterable[Graph]) -> GraphFamily:
-    return GraphFamily(list(graphs))
+def _nested_graph(spec: FamilySpec, param: Param) -> Graph:
+    g = generate(param) if isinstance(param, FamilySpec) else None
+    if not isinstance(g, Graph):
+        raise ValueError(f"{spec.kind} takes nested single-graph specs, got {param}")
+    return g
 
 
 def _gen_family_of(spec: FamilySpec) -> GraphFamily:
     if not spec.params:
         raise ValueError("family_of takes one or more nested graph specs")
-    members = []
-    for p in spec.params:
-        if isinstance(p, str):
-            p = FamilySpec(p)
-        if not isinstance(p, FamilySpec):
-            raise ValueError("family_of parameters must be graph specs")
-        g = generate(p)
-        if not isinstance(g, Graph):
-            raise ValueError("family_of members must be single-graph specs")
-        members.append(g)
-    return family_of(members)
+    return GraphFamily([_nested_graph(spec, p) for p in spec.params])
 
 
 def random_tree(n: int, seed: int) -> Graph:
@@ -559,15 +537,8 @@ def with_complement(g: Graph, name: str = "G") -> GraphFamily:
 def _gen_with_complement(spec: FamilySpec) -> GraphFamily:
     if len(spec.params) != 1:
         raise ValueError("with_complement takes one nested graph spec")
-    inner = spec.params[0]
-    if isinstance(inner, str):
-        inner = FamilySpec(inner)
-    if not isinstance(inner, FamilySpec):
-        raise ValueError("with_complement takes one nested graph spec")
-    g = generate(inner)
-    if not isinstance(g, Graph):
-        raise ValueError("with_complement needs a spec producing a single graph")
-    return with_complement(g, format_spec(inner))
+    (inner,) = spec.params
+    return with_complement(_nested_graph(spec, inner), str(inner))
 
 
 def _ints(spec: FamilySpec, count: int) -> list[int]:
@@ -584,21 +555,22 @@ _GENERATORS: dict[str, Callable[[FamilySpec], Graph | GraphFamily]] = {
     "complete": lambda s: complete(*_ints(s, 1)),
     "star": lambda s: star(*_ints(s, 1)),
     "wheel": lambda s: wheel(*_ints(s, 1)),
-    "petersen": lambda s: petersen(),
+    "petersen": lambda s: petersen(*_ints(s, 0)),
     "bouquet": lambda s: bouquet(_ints(s, len(s.params))),
     "kite": lambda s: kite(*_ints(s, 1)),
     "unicyclic_a": lambda s: unicyclic_a(*_ints(s, 2)),
     "unicyclic_b": lambda s: unicyclic_b(*_ints(s, 2)),
     "unicyclic_c": lambda s: unicyclic_c(*_ints(s, 1)),
     "unicyclic_d": lambda s: unicyclic_d(*_ints(s, 2)),
-    "h1": lambda s: kite(4),
-    "h2": lambda s: unicyclic_c(1),
-    "h3": lambda s: unicyclic_d(1, 1),
-    "fig1a": lambda s: _figure(_FIG1A, 6),
-    "fig1b": lambda s: _figure(_FIG1B, 6),
-    "fig2": lambda s: _figure(_FIG2, 12),
-    "fig3": lambda s: _figure(_FIG3, 5),
-    "fig3_sub": lambda s: _figure(tuple(_FIG3[i] for i in (0, 1, 3)), 5),
+    # The fixed kinds unpack _ints(s, 0), which rejects any parameter.
+    "h1": lambda s: kite(4, *_ints(s, 0)),
+    "h2": lambda s: unicyclic_c(1, *_ints(s, 0)),
+    "h3": lambda s: unicyclic_d(1, 1, *_ints(s, 0)),
+    "fig1a": lambda s: _figure(_FIG1A, 6, *_ints(s, 0)),
+    "fig1b": lambda s: _figure(_FIG1B, 6, *_ints(s, 0)),
+    "fig2": lambda s: _figure(_FIG2, 12, *_ints(s, 0)),
+    "fig3": lambda s: _figure(_FIG3, 5, *_ints(s, 0)),
+    "fig3_sub": lambda s: _figure(tuple(_FIG3[i] for i in (0, 1, 3)), 5, *_ints(s, 0)),
     "fig5_tree": lambda s: fig5_tree(*_ints(s, 1)),
     "path_family": lambda s: _gen_path_family(s),
     "star_family": lambda s: star_family(*_ints(s, 1)),
@@ -627,13 +599,10 @@ def _gen_circulant(spec: FamilySpec) -> Graph:
 
 
 def _gen_path_family(spec: FamilySpec) -> GraphFamily:
-    if (
-        len(spec.params) != 2
-        or not isinstance(spec.params[0], int)
-        or not isinstance(spec.params[1], str)
-    ):
+    n, mode = spec.params if len(spec.params) == 2 else (None, None)
+    if not isinstance(n, int) or not isinstance(mode, FamilySpec) or mode.params:
         raise ValueError("path_family takes (n, shared_end|rotations)")
-    return path_family(spec.params[0], spec.params[1])
+    return path_family(n, mode.kind)
 
 
 def known_kinds() -> tuple[str, ...]:

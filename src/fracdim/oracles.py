@@ -275,7 +275,7 @@ def oracle_sdimf(spec: FamilySpec | str) -> OracleValue:
     kind, params = spec.kind, spec.params
     if kind == "path_family":
         n, mode = params
-        if mode == "shared_end":
+        if mode.kind == "shared_end":
             return _val(1, "paths sharing an end-vertex pool to 1", "shared-end path families")
         return _val(Fraction(n, n - 1), "end-free path families pool to n/(n-1)", "path families without a shared end")
     if kind == "cycle_family":
@@ -313,8 +313,6 @@ def oracle_sdimf(spec: FamilySpec | str) -> OracleValue:
         return _val(2, "three-member subfamily value 2", "the fixed five-vertex subfamily")
     if kind == "with_complement":
         inner = params[0]
-        if isinstance(inner, str):
-            inner = FamilySpec(inner)
         if not isinstance(inner, FamilySpec):
             raise NoClosedForm("with_complement needs a nested spec")
         return _sdimf_complement_pair(inner)

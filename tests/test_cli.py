@@ -162,6 +162,15 @@ def test_unreadable_input_exits_2(tmp_path, capsys, name):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_deeply_nested_spec_exits_2_without_traceback(capsys):
+    spec = "family_of(" * 1000 + "path(3)" + ")" * 1000
+    with pytest.raises(ValueError, match="nests deeper"):
+        generate(spec)
+    code, out, err = run(capsys, "sdimf", "--spec", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_unwritable_output_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "gen", "--spec", "path(3)", "-o", str(tmp_path / "no" / "x.txt"))
     assert code == 2 and err.startswith("error: ")

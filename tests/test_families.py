@@ -22,22 +22,32 @@ def test_splitmix64_reference_stream():
 
 
 def test_parse_format_round_trip():
-    for text in [
-        "petersen",
-        "wheel(6)",
-        "unicyclic_d(2,3)",
-        "path_family(6,rotations)",
-        "with_complement(cycle(7))",
-        "family_of(path(4),graph_index(4,11))",
-        "random_connected(8,45,12345)",
-    ]:
+    texts = [
+        "path(4)", "cycle(7)", "complete(5)", "star(6)", "wheel(6)", "petersen",
+        "bouquet(3,4,5)", "kite(5)", "unicyclic_a(1,2)", "unicyclic_b(2,1)",
+        "unicyclic_c(3)", "unicyclic_d(2,3)", "h1", "h2", "h3", "fig1a", "fig1b",
+        "fig2", "fig3", "fig3_sub", "fig5_tree(2)", "path_family(6,rotations)",
+        "path_family(5,shared_end)", "star_family(5)", "remark_a_family(3)",
+        "remark_b_family(4)", "cycle_family(6,2,-7)", "petersen_family(2,0)",
+        "circulant(8,1,3)", "circulant_family(8,2,5)", "twin_cycle_family(4)",
+        "graph_index(4,11)", "family_of(path(4),graph_index(4,11))",
+        "random_tree(9,3)", "random_unicyclic(7,1)", "random_connected(8,45,12345)",
+        "random_family(6,2,1)", "with_complement(cycle(7))", "with_complement(petersen)",
+    ]
+    assert {parse_spec(t).kind for t in texts} == set(known_kinds())
+    for text in texts:
         spec = parse_spec(text)
         assert format_spec(spec) == text
         assert parse_spec(format_spec(spec)) == spec
+        generate(spec)
+    assert parse_spec("path_family(5,shared_end)").params == (5, FamilySpec("shared_end"))
+    assert parse_spec("with_complement(petersen)").params == (FamilySpec("petersen"),)
 
 
 def test_parse_accepts_spaces():
-    assert parse_spec("unicyclic_d( 2 , 3 )") == FamilySpec("unicyclic_d", (2, 3))
+    for text in ["unicyclic_d( 2 , 3 )", "  unicyclic_d(2,3)", "unicyclic_d(2,3) ",
+                 "\tunicyclic_d\t(\n2,\t3\n)\n"]:
+        assert parse_spec(text) == FamilySpec("unicyclic_d", (2, 3))
 
 
 def test_parse_rejects_junk():
@@ -59,9 +69,13 @@ def test_param_ranges():
                 "unicyclic_a(0,1)", "fig5_tree(1)", "star_family(3)",
                 "remark_a_family(2)", "path_family(2,rotations)",
                 "random_connected(4,0,1)", "random_connected(4,101,1)",
-                "twin_cycle_family(2)", "graph_index(3,8)"]:
+                "twin_cycle_family(2)", "graph_index(3,8)",
+                # parameterless kinds take no parameters
+                "petersen(3)", "h1(9,9)", "h2(1)", "h3(0)", "fig1a(2)", "fig1b(1)",
+                "fig2(1)", "fig3(1)", "fig3_sub(x)"]:
         with pytest.raises(ValueError):
             generate(bad)
+    assert generate("petersen()") == generate("petersen")
 
 
 def test_petersen_shape():
