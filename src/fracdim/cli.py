@@ -17,6 +17,7 @@ the output is discarded, without a traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -30,7 +31,6 @@ from .dimension import (
     GraphFamily,
     SandwichViolation,
     bounds_report,
-    metric_dimension,
     simultaneous_dimension,
     simultaneous_fractional_dimension,
 )
@@ -68,109 +68,82 @@ def format_family_file(fam: GraphFamily) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load(args) -> Graph | GraphFamily:
-    """The spec or the file of a command; a file with blocks is a family."""
-    if args.spec and args.input:
+def _load(args) -> GraphFamily:
+    """The spec or the file of a command as a family: a graph is the family
+    of one, or with ``--with-complement`` the pair of it and its complement."""
+    if args.spec is not None and args.input is not None:
         raise ParseError("give either an input file or --spec, not both")
-    if args.spec:
-        return generate(args.spec)
-    if not args.input:
+    if args.spec is not None:
+        obj = generate(args.spec)
+    elif args.input is None:
         raise ParseError("give an input file or --spec")
-    n, blocks = _parse_blocks(_read_text(args.input))
-    return _family(n, blocks) if len(blocks) > 1 else Graph(n, blocks[0][2])
-
-
-def _load_graph(args) -> Graph:
-    obj = _load(args)
-    if isinstance(obj, GraphFamily):
+    else:
+        n, blocks = _parse_blocks(_read_text(args.input))
+        obj = _family(n, blocks) if len(blocks) > 1 else Graph(n, blocks[0][2])
+    if isinstance(obj, Graph):
+        name = args.spec or "input"
+        return with_complement(obj, name) if args.with_complement else GraphFamily([obj], [name])
+    if not args.family:
         source = f"spec {args.spec!r}" if args.spec else f"file {args.input!r}"
         raise ParseError(f"{source} produces a family; use sdimf/sdim")
+    if args.with_complement:
+        raise ParseError("--with-complement needs a single-graph spec or file")
     return obj
 
 
-def _load_family(args) -> GraphFamily:
-    obj = _load(args)
-    name = args.spec or "input"
-    if getattr(args, "with_complement", False):
-        if isinstance(obj, GraphFamily):
-            raise ParseError("--with-complement needs a single-graph spec or file")
-        return with_complement(obj, name)
-    return obj if isinstance(obj, GraphFamily) else GraphFamily([obj], [name])
-
-
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(text_lines))
+    print(json.dumps(payload, indent=2) if args.json else "\n".join(text_lines))
 
 
-def _fractional_output(args, fam: GraphFamily) -> int:
+def _line(label: str, value) -> str:
+    """A text line: a label, then one value or a list of them."""
+    return f"{label} {' '.join(value) if isinstance(value, list) else value}"
+
+
+def _rationals(values) -> list[str]:
+    return [format_rational(v) for v in values]
+
+
+def _cmd_fractional(args) -> int:
+    fam = _load(args)
     # solve_covering_lp has already re-verified this certificate against
     # this exact instance.  With --bounds the report's pooled solve is it.
-    rep = bounds_report(fam) if getattr(args, "bounds", False) else None
+    rep = bounds_report(fam) if args.bounds else None
     res = rep.pooled if rep else simultaneous_fractional_dimension(fam)
     payload: dict = {"value": format_rational(res.value)}
-    lines = [format_rational(res.value)]
+    lines = [payload["value"]]
     if rep:
-        payload["bounds"] = {
+        bounds = payload["bounds"] = {
             "sdf": format_rational(rep.sdf),
             "sd": rep.sd,
             "max_dimf": format_rational(rep.max_dimf),
             "sum_dimf": format_rational(rep.sum_dimf),
             "half_n": format_rational(rep.half_n),
-            "per_member_dimf": [format_rational(v) for v in rep.per_member_dimf],
+            "per_member_dimf": _rationals(rep.per_member_dimf),
         }
-        lines += [
-            f"sdf {format_rational(rep.sdf)}",
-            f"sd {rep.sd}",
-            f"max_dimf {format_rational(rep.max_dimf)}",
-            f"sum_dimf {format_rational(rep.sum_dimf)}",
-            f"half_n {format_rational(rep.half_n)}",
-            "per_member_dimf " + " ".join(format_rational(v) for v in rep.per_member_dimf),
-        ]
+        lines += [_line(label, value) for label, value in bounds.items()]
     if args.assignment:
-        payload["assignment"] = [format_rational(v) for v in res.assignment]
-        lines.append("assignment " + " ".join(format_rational(v) for v in res.assignment))
+        payload["assignment"] = _rationals(res.assignment)
+        lines.append(_line("assignment", payload["assignment"]))
     if args.certificate:
-        payload["dual"] = [format_rational(v) for v in res.certificate]
+        payload["dual"] = _rationals(res.certificate)
         payload["constraint_count"] = res.constraint_count
-        lines.append("dual " + " ".join(format_rational(v) for v in res.certificate))
-        lines.append(f"constraints {res.constraint_count}")
+        lines += [_line("dual", payload["dual"]), f"constraints {res.constraint_count}"]
     if args.decimal is not None:
-        approx = _decimal(res.value, args.decimal)
-        payload["decimal_approx"] = approx
-        lines.append(f"decimal {approx} (approximate)")
+        payload["decimal_approx"] = _decimal(res.value, args.decimal)
+        lines.append(f"decimal {payload['decimal_approx']} (approximate)")
     _emit(args, payload, lines)
     return 0
 
 
-def _cmd_dimf(args) -> int:
-    g = _load_graph(args)
-    return _fractional_output(args, GraphFamily([g]))
-
-
-def _cmd_sdimf(args) -> int:
-    return _fractional_output(args, _load_family(args))
-
-
-def _cmd_dim(args) -> int:
-    g = _load_graph(args)
-    value = metric_dimension(g)
-    _emit(args, {"value": value}, [str(value)])
-    return 0
-
-
-def _cmd_sdim(args) -> int:
-    fam = _load_family(args)
-    value = simultaneous_dimension(fam)
+def _cmd_integral(args) -> int:
+    value = simultaneous_dimension(_load(args))
     _emit(args, {"value": value}, [str(value)])
     return 0
 
 
 def _cmd_twins(args) -> int:
-    g = _load_graph(args)
-    classes = twin_partition(g).classes
+    classes = twin_partition(_load(args).members[0]).classes
     payload = {"classes": [list(c) for c in classes]}
     lines = [" ".join(str(v) for v in c) for c in classes]
     _emit(args, payload, lines)
@@ -178,8 +151,7 @@ def _cmd_twins(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    g = _load_graph(args)
-    p = tree_profile(g)
+    p = tree_profile(_load(args).members[0])
     payload = {
         "sigma": p.sigma,
         "ex": p.ex,
@@ -231,17 +203,6 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _add_input_options(sub, with_complement: bool = False) -> None:
-    sub.add_argument("input", nargs="?", help="edge-list or family file ('-' for stdin)")
-    sub.add_argument("--spec", help="generator spec, e.g. 'wheel(6)' or 'fig1a'")
-    if with_complement:
-        sub.add_argument(
-            "--with-complement",
-            action="store_true",
-            help="pair the single input graph with its complement",
-        )
-
-
 def _decimal(value: Fraction, digits: int) -> str:
     """The exact value rounded to ``digits`` places, ties to even."""
     scaled = Decimal(round(value * 10**digits))
@@ -260,55 +221,44 @@ def _digits(text: str) -> int:
     return k
 
 
-def _add_value_options(sub) -> None:
-    sub.add_argument("--assignment", action="store_true", help="print the optimal weights")
-    sub.add_argument("--certificate", action="store_true", help="print the dual certificate")
-    sub.add_argument("--json", action="store_true", help="JSON output")
-    sub.add_argument(
-        "--decimal",
-        type=_digits,
-        metavar="K",
-        help="also print the value rounded to K decimal places (marked approximate)",
-    )
+# The graph commands: name -> (handler, help, whether it takes a family).
+_GRAPH_COMMANDS = {
+    "dimf": (_cmd_fractional, "fractional dimension of one graph", False),
+    "sdimf": (_cmd_fractional, "simultaneous fractional dimension of a family", True),
+    "dim": (_cmd_integral, "metric dimension (integral) of one graph", False),
+    "sdim": (_cmd_integral, "simultaneous dimension (integral) of a family", True),
+    "twins": (_cmd_twins, "twin equivalence classes", False),
+    "profile": (_cmd_profile, "tree profile (end-vertices, majors)", False),
+}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; ``main`` reuses it."""
     parser = argparse.ArgumentParser(
         prog="fracdim",
         description="Exact (simultaneous) fractional metric dimension of graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dimf", help="fractional dimension of one graph")
-    _add_input_options(p)
-    _add_value_options(p)
-    p.set_defaults(func=_cmd_dimf)
-
-    p = sub.add_parser("sdimf", help="simultaneous fractional dimension of a family")
-    _add_input_options(p, with_complement=True)
-    p.add_argument("--bounds", action="store_true", help="print the bound sandwich")
-    _add_value_options(p)
-    p.set_defaults(func=_cmd_sdimf)
-
-    p = sub.add_parser("dim", help="metric dimension (integral) of one graph")
-    _add_input_options(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_dim)
-
-    p = sub.add_parser("sdim", help="simultaneous dimension (integral) of a family")
-    _add_input_options(p, with_complement=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_sdim)
-
-    p = sub.add_parser("twins", help="twin equivalence classes")
-    _add_input_options(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_twins)
-
-    p = sub.add_parser("profile", help="tree profile (end-vertices, majors)")
-    _add_input_options(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_profile)
+    for name, (func, help_text, family) in _GRAPH_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("input", nargs="?", help="edge-list or family file ('-' for stdin)")
+        p.add_argument("--spec", help="generator spec, e.g. 'wheel(6)' or 'fig1a'")
+        if family:
+            p.add_argument("--with-complement", action="store_true",
+                           help="pair the single input graph with its complement")
+        if func is _cmd_fractional:
+            if family:
+                p.add_argument("--bounds", action="store_true", help="print the bound sandwich")
+            p.add_argument("--assignment", action="store_true", help="print the optimal weights")
+            p.add_argument("--certificate", action="store_true", help="print the dual certificate")
+            p.add_argument("--json", action="store_true", help="JSON output")
+            p.add_argument("--decimal", type=_digits, metavar="K", help="also print the value "
+                           "rounded to K decimal places (marked approximate)")
+        else:
+            p.add_argument("--json", action="store_true")
+        p.set_defaults(func=func, family=family, with_complement=False, bounds=False)
 
     p = sub.add_parser("gen", help="emit a spec as an edge list / family file")
     p.add_argument("--spec", required=True)
@@ -327,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fracdim.cli import main, parse_family_file, format_family_file
+from fracdim.cli import build_parser, main, parse_family_file, format_family_file
 from fracdim.families import generate
 from fracdim.graph import ParseError
 
@@ -155,6 +155,22 @@ def test_family_input_rejected_where_one_graph_is_needed(tmp_path, capsys, argv,
         assert code == 2 and out == "" and message in err
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        (["one.txt", "--spec", ""], "give either an input file or --spec, not both"),
+        (["", "--spec", "petersen"], "give either an input file or --spec, not both"),
+        (["--spec", ""], "expected a name or integer, got the end of the spec"),
+    ],
+    ids=["file and empty spec", "empty file name and spec", "empty spec"],
+)
+def test_empty_spec_or_file_name_counts_as_given(tmp_path, capsys, source, message):
+    (tmp_path / "one.txt").write_text("n 4\n0 1\n1 2\n2 3\n")
+    source = [str(tmp_path / a) if a == "one.txt" else a for a in source]
+    code, out, err = run(capsys, "dimf", *source)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("name", ["missing.txt", "."])
 def test_unreadable_input_exits_2(tmp_path, capsys, name):
     code, out, err = run(capsys, "dimf", str(tmp_path / name))
@@ -228,14 +244,35 @@ ROSTER = [
 @pytest.mark.parametrize(
     "digest, argv",
     [(digest, argv) for digest, *argv in ROSTER],
-    ids=[" ".join(argv[:3:2]) + " --bounds" * ("--bounds" in argv) for _, *argv in ROSTER],
+    ids=[
+        " ".join(a for a in argv if a != "--spec").removesuffix(" --json --assignment --certificate")
+        for _, *argv in ROSTER
+    ],
 )
 def test_certificate_output_is_pinned(capsys, digest, argv):
-    # Values, assignments and dual certificates of the unseeded fractional
-    # benchmark requests, byte for byte.
+    # CLI output byte for byte: the values, assignments and dual certificates
+    # of the unseeded fractional benchmark requests, and the text and JSON
+    # output of every graph command.
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    # main() parses every call with one parser; each pair's second call
+    # would see the first call's list, flag or input if it leaked.
+    assert build_parser() is build_parser()
+    pairs = [
+        (("verify", "prop15_cycles", "--budget", "n=5"), ("verify", "prop15_cycles")),
+        (("sdimf", "--spec", "star_family(6)", "--bounds"), ("sdimf", "--spec", "star_family(6)")),
+        (("sdimf", "--spec", "path(4)", "--with-complement"), ("sdimf", "--spec", "fig1a")),
+    ]
+    outs = [run(capsys, *argv) for pair in pairs for argv in pair]
+    assert [code for code, _, _ in outs] == [0] * 6
+    verify_n5, verify, bounds, plain, pair, fig1a = (out.splitlines() for _, out, _ in outs)
+    assert verify_n5[-1].endswith("3/3 passed") and verify[-1].endswith("10/10 passed")
+    assert len(bounds) == 7 and plain == ["3"]
+    assert pair == ["4/3"] and fig1a == ["3/2"]
 
 
 def test_spec_producing_family_rejected_by_dimf(capsys):
