@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph
@@ -77,7 +78,7 @@ def _member_masks(fam: GraphFamily) -> list[Iterator[int]]:
 
 def _minimal_union(systems: Iterable[Iterable[int]]) -> list[int]:
     """The minimal masks of all systems, in order of first occurrence."""
-    return _minimal_masks(dict.fromkeys(m for masks in systems for m in masks))
+    return _minimal_masks(dict.fromkeys(chain.from_iterable(systems)))
 
 
 def _pooled(fam: GraphFamily) -> CoveringLp:

@@ -1,18 +1,19 @@
 """Resolving-set machinery: constraint systems, twins, r(G), tree profiles,
 and a small exact vertex-transitivity test.
 
-A vertex z resolves a pair {x, y} when its distances to x and y differ
-(with INF equal only to itself, so disconnected graphs are covered).  The
-set of resolvers of one pair is the support of one covering constraint.
+A vertex z resolves a pair {x, y} when its distances to x and y differ (INF
+equals only itself, so disconnected graphs are covered).  The resolvers of a
+pair, a bitmask from two bit-sliced distance rows, support one constraint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 from typing import Iterator, Sequence
 
-from .graph import INF, Graph, DistanceMatrix, all_pairs_distances, is_tree
+from .graph import Graph, DistanceMatrix, all_pairs_distances, is_tree
 from .lp import _bits, _minimal_masks
 
 
@@ -73,38 +74,50 @@ def resolving_constraint(dm: DistanceMatrix, x: int, y: int) -> ResolvingConstra
     )
 
 
-_BITS = bytes.maketrans(b"\x00\x80", b"01")
+def _distance_rows(g: Graph) -> tuple[list[int], int]:
+    """Bit-sliced distance rows, bit i of d(x, z) at bit i*n + z of row x, and
+    their lane count: the least power of two that holds every distance code.
+
+    Unreachable vertices get the code n, which no distance has.  The balls
+    B_x(d + 1) = B_x(d) | OR of B_u(d), u ~ x, grow while they can, and row x
+    sums its layers L_x(d) times spread(d), the sum of 1 << i*n over bits i of d.
+    """
+    n, adj = g.n, g.adj
+    balls = [1 << x for x in range(n)]
+    layers: list[list[int]] = [[] for _ in range(n)]  # layers[x][d - 1]
+    growing = range(n)
+    while growing:
+        prev, grew = balls[:], []
+        for x in growing:
+            b = prev[x]
+            for u in adj[x]:
+                b |= prev[u]
+            if b != prev[x]:
+                layers[x].append(b ^ prev[x])
+                balls[x] = b
+                grew.append(x)
+        growing = grew
+    full = (1 << n) - 1
+    top = n if any(b != full for b in balls) else max(map(len, layers))
+    lanes = 1 << (top.bit_length() - 1).bit_length()
+    spread = [sum(1 << i * n for i in range(lanes) if d >> i & 1) for d in range(top + 1)]
+    return [sum(map(mul, ls, spread[1:])) + (full ^ b) * spread[-1]
+            for ls, b in zip(layers, balls)], lanes
 
 
 def resolver_masks(g: Graph) -> Iterator[int]:
-    """Bitmask of R{x,y} for every pair x < y, in lexicographic pair order.
-
-    Each distance row is packed into one integer, w bytes per vertex, with
-    INF as the all-ones field (larger than every distance).  In the XOR of
-    two rows the fields of the resolvers are exactly the non-zero ones.  One
-    add-and-mask moves "field non-zero" into the top bit of each field, and a
-    byte translation reads those bits out as the binary digits of the mask.
+    """Bitmask of R{x,y} for every pair x < y, in lexicographic pair order:
+    the XOR of rows x and y (``_distance_rows``), its lanes OR-ed onto lane 0.
     """
-    dm = all_pairs_distances(g)
-    n = g.n
-    w = (n.bit_length() + 7) // 8  # so that inf > n - 1, the largest distance
-    inf = (1 << 8 * w) - 1
-    unit = int.from_bytes(b"\x01".ljust(w, b"\x00") * n, "little")
-    low = unit * (inf >> 1)
-    top = unit << (8 * w - 1)
-    rows = [
-        int.from_bytes(
-            b"".join((inf if d == INF else d).to_bytes(w, "little") for d in dm[x]),
-            "little",
-        )
-        for x in range(n)
-    ]
-    for x in range(n):
-        rx = rows[x]
-        for y in range(x + 1, n):
-            v = rx ^ rows[y]
-            marks = ((v & low) + low | v) & top
-            yield int(marks.to_bytes(n * w, "big")[::w].translate(_BITS), 2)
+    rows, lanes = _distance_rows(g)
+    full = (1 << g.n) - 1
+    shifts = [g.n * lanes >> i for i in range(1, lanes.bit_length())]
+    for x, rx in enumerate(rows):
+        for ry in rows[x + 1:]:
+            v = rx ^ ry
+            for s in shifts:
+                v |= v >> s
+            yield v & full
 
 
 def constraint_system(g: Graph, reduce: bool = True) -> list[ResolvingConstraint]:

@@ -206,8 +206,8 @@ def test_sdimf_bounds_builds_each_member_system_once(monkeypatch, capsys):
         return wrapped
 
     fam = generate("star_family(6)")
-    monkeypatch.setattr(fracdim.metric, "all_pairs_distances",
-                        counting("apsp", fracdim.metric.all_pairs_distances))
+    monkeypatch.setattr(fracdim.metric, "_distance_rows",
+                        counting("distances", fracdim.metric._distance_rows))
     monkeypatch.setattr(fracdim.dimension, "solve_covering_lp",
                         counting("dimension_lp", fracdim.dimension.solve_covering_lp))
     monkeypatch.setattr(fracdim.dimension, "joint_cover_sets",
@@ -215,8 +215,9 @@ def test_sdimf_bounds_builds_each_member_system_once(monkeypatch, capsys):
     monkeypatch.setattr(fracdim.lp.CoveringLp, "__init__",
                         counting("CoveringLp", fracdim.lp.CoveringLp.__init__))
     k = len(fam)
-    # (argv, first stdout line, BFS passes, LP solves in dimension.py).
-    # --bounds: one BFS per member, k member solves plus one pooled solve.
+    # (argv, first stdout line, distance passes, LP solves in dimension.py).
+    # --bounds: one distance pass per member, k member solves plus one pooled
+    # solve.
     cases = [
         (("sdimf", "--spec", "star_family(6)", "--bounds"), "3", k, k + 1),
         (("sdimf", "--spec", "star_family(6)"), "3", k, 1),
@@ -224,13 +225,13 @@ def test_sdimf_bounds_builds_each_member_system_once(monkeypatch, capsys):
         (("dimf", "--spec", "petersen"), "5/3", 1, 1),
         (("dim", "--spec", "petersen"), "3", 1, 0),
     ]
-    for argv, first, apsp, solves in cases:
-        calls.update(apsp=0, dimension_lp=0, joint_cover_sets=0, CoveringLp=0)
+    for argv, first, distances, solves in cases:
+        calls.update(distances=0, dimension_lp=0, joint_cover_sets=0, CoveringLp=0)
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out.splitlines()[0] == first, argv
         # The resolver masks reach the LP and the hitting set as they are:
         # no set-valued instance and no pooled system built on the way.
-        expected = {"apsp": apsp, "dimension_lp": solves, "joint_cover_sets": 0, "CoveringLp": 0}
+        expected = {"distances": distances, "dimension_lp": solves, "joint_cover_sets": 0, "CoveringLp": 0}
         assert calls == expected, argv
 
 

@@ -7,6 +7,7 @@ from fracdim.metric import (
     family_twin_multiplicity,
     is_vertex_transitive,
     r_of,
+    resolver_masks,
     resolving_constraint,
     tree_profile,
     twin_partition,
@@ -38,6 +39,34 @@ def test_disconnected_pair_uses_inf_convention():
 def test_same_vertex_rejected():
     with pytest.raises(ValueError):
         resolving_constraint(all_pairs_distances(generate("path(3)")), 1, 1)
+
+
+def lane_boundary_graphs(n):
+    """A path, a cycle (n >= 3), a path on the first n // 2 vertices plus
+    isolated vertices, and the edgeless graph."""
+    yield generate(f"path({n})")
+    if n >= 3:
+        yield generate(f"cycle({n})")
+    yield Graph(n, [(i, i + 1) for i in range(n // 2 - 1)])
+    yield Graph(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 16, 17, 18, 33, 34, 65, 66, 130])
+def test_resolver_masks_match_definition_at_lane_boundaries(n):
+    # Across these n the distance codes (n for unreachable) need 1, 2, 4
+    # and 8 lanes of n bits, and a lane is wider than 64 bits from n = 65.
+    for g in lane_boundary_graphs(n):
+        dm = all_pairs_distances(g)
+        want = [
+            sum(1 << z for z in resolving_constraint(dm, x, y).members)
+            for x in range(n)
+            for y in range(x + 1, n)
+        ]
+        assert list(resolver_masks(g)) == want, g
+
+
+def test_resolver_masks_of_one_vertex_is_empty():
+    assert list(resolver_masks(Graph(1))) == []
 
 
 def test_constraint_system_k4_reduced_to_pairs():
