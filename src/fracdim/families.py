@@ -494,8 +494,15 @@ def random_unicyclic(n: int, seed: int) -> Graph:
     return Graph(n, list(tree.edges) + [chord])
 
 
+_MAX_PAIR_DRAWS = 10**6
+
+
 def random_connected(n: int, p: int, seed: int) -> Graph:
-    """Seeded G(n, p%) conditioned on connectivity (p is an integer percent)."""
+    """Seeded G(n, p%) conditioned on connectivity (p is an integer percent).
+
+    Rejection sampling draws once per vertex pair per sample and gives up
+    after ``_MAX_PAIR_DRAWS`` draws (but always tries one sample).
+    """
     if n < 1:
         raise ValueError("random_connected needs n >= 1")
     if not (0 <= p <= 100):
@@ -505,7 +512,7 @@ def random_connected(n: int, p: int, seed: int) -> Graph:
     if p == 0:
         raise ValueError("p=0 cannot give a connected graph on n >= 2 vertices")
     rng = SplitMix64(seed)
-    for _ in range(100000):
+    for _ in range(max(1, _MAX_PAIR_DRAWS // (n * (n - 1) // 2))):
         edges = [
             (u, v)
             for u in range(n)

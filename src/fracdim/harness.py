@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from contextvars import ContextVar
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Callable, Collection, Mapping
@@ -26,7 +27,9 @@ from .metric import (
     twin_partition,
 )
 from .dimension import (
+    DimensionResult,
     GraphFamily,
+    _minimal_union,
     bounds_report,
     fractional_dimension,
     simultaneous_dimension,
@@ -125,12 +128,53 @@ def _fmt(v: Fraction) -> str:
     return format_rational(Fraction(v))
 
 
+@dataclass
+class _Memo:
+    """What one run_suite call has built and solved, so it does so once.
+
+    ``minimal`` holds the minimal resolver masks of each member graph by
+    (n, edges), which keeps no Graph and its cached adjacency alive, and
+    ``solved`` each engine result by (engine, n, pooled minimal masks): an
+    instance's value and optimal assignments depend only on its distinct
+    minimal masks, not on the graphs or the order that gave them.
+    """
+
+    minimal: dict[tuple, list[int]] = field(default_factory=dict)
+    solved: dict[tuple, DimensionResult] = field(default_factory=dict)
+
+    def masks(self, g: Graph) -> list[int]:
+        key = (g.n, g.edges)
+        masks = self.minimal.get(key)
+        if masks is None:
+            masks = self.minimal[key] = _minimal_union([resolver_masks(g)])
+        return masks
+
+
+# The memo of the run_suite call in progress, None outside one: nothing is
+# shared between suites or calls.
+_MEMO: ContextVar[_Memo | None] = ContextVar("fracdim_suite_memo", default=None)
+
+
+def _solved(engine: Callable, arg: Graph | GraphFamily) -> DimensionResult:
+    """``engine(arg)``, called once per distinct instance in a suite run."""
+    memo = _MEMO.get()
+    if isinstance(arg, Graph):
+        pooled = memo.masks(arg)
+    else:
+        pooled = _minimal_union(map(memo.masks, arg.members))
+    key = (engine, arg.n, frozenset(pooled))
+    res = memo.solved.get(key)
+    if res is None:
+        res = memo.solved[key] = engine(arg)
+    return res
+
+
 def _dimf(g: Graph) -> Fraction:
-    return fractional_dimension(g).value
+    return _solved(fractional_dimension, g).value
 
 
 def _sdf(fam: GraphFamily) -> Fraction:
-    return simultaneous_fractional_dimension(fam).value
+    return _solved(simultaneous_fractional_dimension, fam).value
 
 
 def _pair(g: Graph) -> Fraction:
@@ -257,7 +301,7 @@ def _suite_obs2_sandwich(budget: Budget) -> list[Unit]:
 
 
 def _twin_bound_holds(fam: GraphFamily) -> tuple[bool, str]:
-    res = simultaneous_fractional_dimension(fam)
+    res = _solved(simultaneous_fractional_dimension, fam)
     for gi, g in enumerate(fam.members):
         for cls in twin_partition(g).nontrivial():
             total = sum((res.assignment[v] for v in cls), Fraction(0))
@@ -785,9 +829,13 @@ def run_suite(name: str, budget=None) -> SuiteReport:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_ORDER)}") from None
     started = time.perf_counter()
     checks = []
-    for desc, run in builder(_budget(budget)):
-        ok, witness = run()
-        checks.append(CheckResult(desc, "pass" if ok else "fail", witness))
+    token = _MEMO.set(_Memo())
+    try:
+        for desc, run in builder(_budget(budget)):
+            ok, witness = run()
+            checks.append(CheckResult(desc, "pass" if ok else "fail", witness))
+    finally:
+        _MEMO.reset(token)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return SuiteReport(name, tuple(checks), elapsed_ms)
 

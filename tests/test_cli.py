@@ -340,6 +340,14 @@ def test_verify_all_runs_every_suite_in_order(capsys):
     assert seen == list(SUITE_ORDER)
 
 
+def test_verify_all_text_is_pinned(capsys):
+    # The stdout of `fracdim verify all` at the default budget, byte for byte.
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "a12ffdbe5d512aceb4d1229aba347c8d4e823b3be35f0e1ada93221e10d7baee"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

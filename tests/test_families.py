@@ -1,5 +1,7 @@
 import pytest
 
+import fracdim.families as families
+from fracdim.cli import main
 from fracdim.graph import diameter, is_connected, is_tree, complement
 from fracdim.metric import twin_partition
 from fracdim.families import (
@@ -191,6 +193,30 @@ def test_random_connected_is_connected_and_deterministic():
     b = generate("random_connected(9,45,7)")
     assert a == b and is_connected(a)
     assert generate("random_tree(9,7)") == generate("random_tree(9,7)")
+
+
+def test_random_connected_gives_up_after_its_pair_draws(monkeypatch, capsys):
+    samples = []
+
+    def never(g):
+        samples.append(g)
+        return False
+
+    monkeypatch.setattr(families, "is_connected", never)
+    monkeypatch.setattr(families, "_MAX_PAIR_DRAWS", 450)
+    with pytest.raises(ValueError, match=r"no connected sample found for n=10, p=1%"):
+        generate("random_connected(10,1,2)")
+    assert len(samples) == 10  # 450 draws are 10 samples of 45 pairs
+    samples.clear()
+    assert main(["gen", "--spec", "random_connected(40,50,1)"]) == 2
+    assert len(samples) == 1  # 780 pairs is over the cap, one sample is still tried
+    assert capsys.readouterr().err == "error: no connected sample found for n=40, p=50%\n"
+
+
+def test_random_connected_fails_within_its_default_draws():
+    # the default cap: 22 222 samples of 45 pairs, about a second
+    with pytest.raises(ValueError, match="no connected sample found"):
+        generate("random_connected(10,1,2)")
 
 
 def test_graph_index_round_trip():
