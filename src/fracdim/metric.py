@@ -142,30 +142,22 @@ def constraint_system(g: Graph, reduce: bool = True) -> list[ResolvingConstraint
 
 
 def twin_partition(g: Graph) -> TwinPartition:
-    """Classes of the twin relation u ~ w iff N(u)-{w} = N(w)-{u}."""
-    masks = [0] * g.n
-    for u in range(g.n):
-        m = 0
-        for v in g.adj[u]:
-            m |= 1 << v
-        masks[u] = m
-    parent = list(range(g.n))
+    """Classes of the twin relation u ~ w iff N(u)-{w} = N(w)-{u}.
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u in range(g.n):
-        for w in range(u + 1, g.n):
-            if masks[u] & ~(1 << w) == masks[w] & ~(1 << u):
-                parent[find(u)] = find(w)
+    Non-adjacent twins share N(u), adjacent twins N[u].  No vertex has twins
+    of both kinds (N(u) = N(w) and N[u] = N[x] put x in N(w), so w in
+    N[x] = N[u]), and no N(u) is another vertex's N[w] (u would be in N(u)),
+    so each class of size >= 2 is one group of equal masks in one dict.
+    """
     groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(find(v), []).append(v)
-    classes = sorted(tuple(sorted(c)) for c in groups.values())
-    return TwinPartition(tuple(classes))
+    for u, nbrs in enumerate(g.adj):
+        m = sum(1 << v for v in nbrs)
+        groups.setdefault(m, []).append(u)
+        groups.setdefault(m | 1 << u, []).append(u)
+    twins = [tuple(c) for c in groups.values() if len(c) >= 2]
+    paired = {v for c in twins for v in c}
+    singles = [(v,) for v in range(g.n) if v not in paired]
+    return TwinPartition(tuple(sorted(twins + singles)))
 
 
 def r_of(g: Graph) -> int:
@@ -178,29 +170,31 @@ def r_of(g: Graph) -> int:
 def tree_profile(g: Graph) -> TreeProfile:
     """Count end-vertices and exterior major vertices of a tree.
 
-    An end-vertex is terminal to the major vertex strictly nearest to it;
-    in a tree that nearest major vertex is unique whenever one exists.
-    A path has no major vertex: ex = ex1 = 0 and sigma = 2 (or 0 for n = 1).
+    An end-vertex is terminal to the major vertex strictly nearest to it.
+    Its leg runs through degree-2 vertices, and every path out of the leg
+    passes the first vertex of another degree: that is the nearest major
+    vertex, or the other end of a path.  A path has no major vertex:
+    ex = ex1 = 0 and sigma = 2 (or 0 for n = 1).
     """
     if not is_tree(g):
         raise ValueError("tree_profile needs a tree")
-    ends = [v for v in range(g.n) if g.degree(v) == 1]
-    majors = [v for v in range(g.n) if g.degree(v) >= 3]
-    terminal: dict[int, list[int]] = {v: [] for v in majors}
-    if majors:
-        dm = all_pairs_distances(g)
-        for leaf in ends:
-            dists = [(dm[leaf][v], v) for v in majors]
-            dists.sort()
-            if len(dists) == 1 or dists[0][0] < dists[1][0]:
-                terminal[dists[0][1]].append(leaf)
-    exterior = tuple(
-        MajorVertex(v, len(terminal[v]), tuple(sorted(terminal[v])))
-        for v in majors
-        if terminal[v]
-    )
+    adj = g.adj
+    ends = [v for v in range(g.n) if len(adj[v]) == 1]
+    terminal: dict[int, list[int]] = {}
+    for leaf in ends:
+        prev, v = leaf, adj[leaf][0]
+        while len(adj[v]) == 2:
+            a, b = adj[v]
+            prev, v = v, b if a == prev else a
+        if len(adj[v]) >= 3:
+            terminal.setdefault(v, []).append(leaf)
+    exterior = tuple(MajorVertex(v, len(ts), tuple(ts)) for v, ts in sorted(terminal.items()))
     ex1 = sum(1 for mv in exterior if mv.terminal_degree == 1)
     return TreeProfile(len(ends), exterior, len(exterior), ex1)
+
+
+# Largest graph the exact automorphism search accepts.
+_MAX_TRANSITIVITY_N = 16
 
 
 def _vertex_signatures(g: Graph, dm: DistanceMatrix) -> list[tuple]:
@@ -234,12 +228,11 @@ def _extend_automorphism(g: Graph, sigs, image: list[int], used: list[bool]) -> 
     return False
 
 
-def is_vertex_transitive(g: Graph, cap: int = 16) -> bool:
-    """Exact test by backtracking automorphism search (instances n <= cap)."""
-    if g.n > cap:
-        raise ValueError(
-            f"instance too large for exact automorphism search (n={g.n} > cap={cap})"
-        )
+def is_vertex_transitive(g: Graph) -> bool:
+    """Exact test by backtracking automorphism search, for n <= _MAX_TRANSITIVITY_N."""
+    if g.n > _MAX_TRANSITIVITY_N:
+        raise ValueError("instance too large for exact automorphism search "
+                         f"(n={g.n} > {_MAX_TRANSITIVITY_N})")
     if g.n == 1:
         return True
     dm = all_pairs_distances(g)
@@ -259,7 +252,7 @@ def family_twin_multiplicity(family, u: int) -> int:
     members: Sequence[Graph] = getattr(family, "members", family)
     count = 0
     for g in members:
-        if u >= g.n:
+        if not 0 <= u < g.n:
             raise ValueError(f"vertex {u} not in a graph on {g.n} vertices")
         if len(twin_partition(g).class_of(u)) >= 2:
             count += 1

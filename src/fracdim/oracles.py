@@ -17,10 +17,6 @@ from .metric import is_vertex_transitive, r_of, tree_profile, twin_partition
 from .families import FamilySpec, format_spec, generate, parse_spec
 
 
-# Largest graph the exact automorphism search is asked to classify.
-_TRANSITIVITY_CAP = 16
-
-
 class NoClosedForm(LookupError):
     """No closed form known for the requested instance."""
 
@@ -46,6 +42,13 @@ def has_fixed_point_free_twin_permutation(g: Graph) -> bool:
     if g.n < 2:
         raise ValueError("needs at least two vertices")
     return all(len(c) >= 2 for c in twin_partition(g).classes)
+
+
+def _vertex_transitive(g: Graph) -> bool:
+    try:
+        return is_vertex_transitive(g)
+    except ValueError as exc:  # above the automorphism search's size limit
+        raise NoClosedForm(str(exc)) from None
 
 
 def _is_path(g: Graph) -> bool:
@@ -204,7 +207,7 @@ def oracle_dimf(obj: Graph | FamilySpec | str) -> OracleValue:
             "all twin classes nontrivial forces n/2",
             "graphs whose twin classes all have size >= 2",
         )
-    if is_connected(g) and n <= _TRANSITIVITY_CAP and is_vertex_transitive(g, _TRANSITIVITY_CAP):
+    if is_connected(g) and _vertex_transitive(g):
         return _val(
             Fraction(n, r_of(g)),
             "vertex-transitive ratio |V|/r",
@@ -289,7 +292,7 @@ def oracle_sdimf(spec: FamilySpec | str) -> OracleValue:
         fam = generate(spec)
         best = Fraction(0)
         for g in fam.members:
-            if not is_vertex_transitive(g, _TRANSITIVITY_CAP):
+            if not _vertex_transitive(g):
                 raise NoClosedForm("a member failed the vertex-transitivity check")
             best = max(best, Fraction(g.n, r_of(g)))
         return _val(best, "vertex-transitive families take the max member value", "vertex-transitive families")

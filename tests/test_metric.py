@@ -1,8 +1,12 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracdim.graph import Graph, all_pairs_distances, complement, diameter, is_connected
 from fracdim.metric import (
+    MajorVertex,
+    TreeProfile,
     constraint_system,
     family_twin_multiplicity,
     is_vertex_transitive,
@@ -109,6 +113,38 @@ def test_twin_partition_path_is_discrete():
     assert twin_partition(generate("path(4)")).classes == ((0,), (1,), (2,), (3,))
 
 
+def pairwise_twin_classes(g):
+    """The closure of u ~ w iff N(u)-{w} = N(w)-{u}, tested on every pair and
+    merged by union-find."""
+    nbrs = [set(g.adj[u]) for u in range(g.n)]
+    parent = list(range(g.n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for u, w in combinations(range(g.n), 2):
+        if nbrs[u] - {w} == nbrs[w] - {u}:
+            parent[find(u)] = find(w)
+    groups = {}
+    for v in range(g.n):
+        groups.setdefault(find(v), []).append(v)
+    return tuple(sorted(tuple(c) for c in groups.values()))
+
+
+def test_twin_partition_matches_the_pairwise_closure():
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        for code in range(1 << len(pairs)):
+            g = Graph(n, [p for i, p in enumerate(pairs) if code >> i & 1])
+            assert twin_partition(g).classes == pairwise_twin_classes(g), (n, code)
+    for n in range(2, 31):
+        for p in (20, 50, 80, 95):
+            g = generate(f"random_connected({n},{p},{n * p})")
+            assert twin_partition(g).classes == pairwise_twin_classes(g), (n, p)
+
+
 def test_r_of_values():
     assert r_of(generate("cycle(5)")) == 4
     assert r_of(generate("petersen")) == 6
@@ -136,6 +172,34 @@ def test_tree_profile_paths():
     assert (p.sigma, p.ex, p.ex1) == (2, 0, 0)
 
 
+def nearest_major_profile(g):
+    """Each end-vertex is terminal to its strictly nearest major vertex, read
+    off the full distance table."""
+    ends = [v for v in range(g.n) if g.degree(v) == 1]
+    majors = [v for v in range(g.n) if g.degree(v) >= 3]
+    terminal = {v: [] for v in majors}
+    if majors:
+        dm = all_pairs_distances(g)
+        for leaf in ends:
+            dists = sorted((dm[leaf][v], v) for v in majors)
+            if len(dists) == 1 or dists[0][0] < dists[1][0]:
+                terminal[dists[0][1]].append(leaf)
+    exterior = tuple(
+        MajorVertex(v, len(terminal[v]), tuple(terminal[v])) for v in majors if terminal[v]
+    )
+    ex1 = sum(1 for mv in exterior if mv.terminal_degree == 1)
+    return TreeProfile(len(ends), exterior, len(exterior), ex1)
+
+
+def test_tree_profile_matches_the_nearest_major_rule():
+    specs = [f"random_tree({n},0)" for n in (1, 2, 3)] + [
+        f"random_tree({n},{seed})" for n in range(4, 201, 7) for seed in range(3)
+    ] + ["random_tree(200,1000)", "fig5_tree(5)", "star(6)", "path(9)"]
+    for spec in specs:
+        g = generate(spec)
+        assert tree_profile(g) == nearest_major_profile(g), spec
+
+
 def test_tree_profile_rejects_non_trees():
     with pytest.raises(ValueError):
         tree_profile(generate("cycle(4)"))
@@ -158,6 +222,9 @@ def test_family_twin_multiplicity():
     assert family_twin_multiplicity(single, 0) == 0
     pair = generate("family_of(complete(3),complete(3))")
     assert family_twin_multiplicity(pair, 1) == 2
+    for u in (-1, 5):
+        with pytest.raises(ValueError, match="not in a graph"):
+            family_twin_multiplicity(fig3, u)
 
 
 def graphs(max_n=8, connected_only=False):

@@ -62,6 +62,15 @@ def test_oracle_agrees_with_engine_on_catalogue():
         assert oracle_dimf(spec).value == fractional_dimension(generate(spec)).value, spec
 
 
+def test_graphs_above_the_automorphism_search_limit_have_no_closed_form():
+    # 18 vertices is above the exact vertex-transitivity search's limit; both
+    # oracles report it as NoClosedForm, not as the search's ValueError
+    with pytest.raises(NoClosedForm):
+        oracle_sdimf("circulant_family(18,2,1)")
+    with pytest.raises(NoClosedForm):
+        oracle_dimf("circulant(18,1,5)")
+
+
 def test_oracle_sdimf_values():
     assert oracle_sdimf("with_complement(cycle(7))").value == Fraction(7, 4)
     assert oracle_sdimf("path_family(6,rotations)").value == Fraction(6, 5)
