@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .graph import Graph
 from .lp import CoveringLp, _minimal_masks, min_hitting_set, solve_covering_lp
-from .metric import resolver_masks
 
 
 class SandwichViolation(RuntimeError):
@@ -70,14 +69,22 @@ class BoundsReport:
     pooled: DimensionResult  # the Sd_f solve that gave sdf
 
 
-def _member_masks(fam: GraphFamily) -> list[Iterator[int]]:
+def _member_masks(fam: GraphFamily) -> list[tuple[int, ...]]:
+    """Each member's minimal resolver masks, in order of first occurrence."""
     if fam.n < 2:
         raise ValueError("dimension computations need at least two vertices")
-    return [resolver_masks(g) for g in fam.members]
+    return [g._minimal_resolvers for g in fam.members]
 
 
-def _minimal_union(systems: Iterable[Iterable[int]]) -> list[int]:
-    """The minimal masks of all systems, in order of first occurrence."""
+def _minimal_union(systems: Sequence[Sequence[int]]) -> Sequence[int]:
+    """The minimal masks of the union of minimal systems, in order of first
+    occurrence.
+
+    A pooled set is minimal iff it is minimal in each system that has it, so
+    this equals the minimal masks of the systems they were reduced from.
+    """
+    if len(systems) == 1:
+        return systems[0]
     return _minimal_masks(dict.fromkeys(chain.from_iterable(systems)))
 
 
@@ -121,14 +128,10 @@ def simultaneous_dimension(fam: GraphFamily) -> int:
 
 
 def bounds_report(fam: GraphFamily) -> BoundsReport:
-    """All sandwich quantities; raises SandwichViolation if the chain fails.
-
-    A pooled set is minimal iff it is minimal in each member that has it, so
-    pooling the members' minimal masks gives ``joint_cover_sets``, in order.
-    """
+    """All sandwich quantities; raises SandwichViolation if the chain fails."""
     if len(fam.members) < 2:
         raise ValueError("bounds reports are for families with k >= 2")
-    members = [_minimal_union([masks]) for masks in _member_masks(fam)]
+    members = _member_masks(fam)
     per_member = tuple(_solve(CoveringLp._from_masks(fam.n, ms)).value for ms in members)
     lp = CoveringLp._from_masks(fam.n, _minimal_union(members))
     pooled = _solve(lp)

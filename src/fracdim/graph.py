@@ -66,6 +66,13 @@ class Graph:
     def _edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
 
+    @cached_property
+    def _minimal_resolvers(self) -> tuple[int, ...]:
+        """The minimal resolver masks (``metric._minimal_resolvers``), built once."""
+        from .metric import _minimal_resolvers  # metric imports this module
+
+        return _minimal_resolvers(self)
+
 
 @dataclass(frozen=True)
 class DistanceMatrix:

@@ -133,20 +133,24 @@ class _Memo:
     """What one run_suite call has built and solved, so it does so once.
 
     ``minimal`` holds the minimal resolver masks of each member graph by
-    (n, edges), which keeps no Graph and its cached adjacency alive, and
+    (n, edges), so equal graphs built apart share them without keeping any
+    Graph alive, and
     ``solved`` each engine result by (engine, n, pooled minimal masks): an
     instance's value and optimal assignments depend only on its distinct
     minimal masks, not on the graphs or the order that gave them.
     """
 
-    minimal: dict[tuple, list[int]] = field(default_factory=dict)
+    minimal: dict[tuple, tuple[int, ...]] = field(default_factory=dict)
     solved: dict[tuple, DimensionResult] = field(default_factory=dict)
 
-    def masks(self, g: Graph) -> list[int]:
+    def masks(self, g: Graph) -> tuple[int, ...]:
         key = (g.n, g.edges)
         masks = self.minimal.get(key)
         if masks is None:
-            masks = self.minimal[key] = _minimal_union([resolver_masks(g)])
+            masks = self.minimal[key] = g._minimal_resolvers
+        # An equal graph built apart takes them too, so that an engine
+        # called on it builds none (they are Graph's cached property).
+        vars(g).setdefault("_minimal_resolvers", masks)
         return masks
 
 
@@ -161,7 +165,7 @@ def _solved(engine: Callable, arg: Graph | GraphFamily) -> DimensionResult:
     if isinstance(arg, Graph):
         pooled = memo.masks(arg)
     else:
-        pooled = _minimal_union(map(memo.masks, arg.members))
+        pooled = _minimal_union([memo.masks(g) for g in arg.members])
     key = (engine, arg.n, frozenset(pooled))
     res = memo.solved.get(key)
     if res is None:

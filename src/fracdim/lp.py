@@ -128,10 +128,15 @@ def _bits(mask: int) -> Iterator[int]:
 
 def _minimal_masks(distinct: Collection[int]) -> list[int]:
     """The masks of ``distinct`` (no repeats) that have no proper subset in it,
-    in their order in ``distinct``."""
+    in their order in ``distinct``.  A proper subset has fewer bits, so each
+    mask is tested only against the kept masks of fewer bits."""
     minimal: list[int] = []
+    fewer: list[int] = []  # the kept masks of fewer bits than m
+    size = 0
     for m in sorted(distinct, key=int.bit_count):
-        if not any(k & m == k for k in minimal):
+        if m.bit_count() != size:
+            size, fewer = m.bit_count(), minimal[:]
+        if not any(k & m == k for k in fewer):
             minimal.append(m)
     keep = set(minimal)
     return [m for m in distinct if m in keep]
@@ -170,31 +175,43 @@ def _lex_less(T, b, i, k, q, first_slack) -> bool:
 
 
 def solve_covering_lp(lp: CoveringLp) -> LpSolution:
-    """Optimal basic solution with a matching dual certificate; deterministic."""
+    """Optimal basic solution with a matching dual certificate; deterministic.
+
+    Only the variables of some cover set get a tableau row and a slack
+    column.  Any other x_v is 0: its row would stay D * e_v, and its slack
+    column, 0 outside that row with reduced cost 0, would never enter, leave
+    or decide a ratio test, so the pivots are those of the full tableau.
+    """
     n, masks = lp.n_vars, lp.masks
     m = len(masks)
+    union = 0
+    for mask in masks:
+        union |= mask
+    used = list(_bits(union))
+    row = {v: i for i, v in enumerate(used)}
+    k = len(used)
 
-    # Packing dual, one row per variable v:  sum_{S ∋ v} y_S + s_v = 1.
-    # Columns: y_0..y_{m-1} | slack s_0..s_{n-1}.  Every entry is an integer
-    # over the common denominator D.
-    T = [[0] * (m + n) for _ in range(n)]
+    # Packing dual, one row per used variable v:  sum_{S ∋ v} y_S + s_v = 1.
+    # Columns: y_0..y_{m-1} | slack s_v of each used v.  Every entry is an
+    # integer over the common denominator D.
+    T = [[0] * (m + k) for _ in range(k)]
     for j, mask in enumerate(masks):
         for v in _bits(mask):
-            T[v][j] = 1
-    for v in range(n):
-        T[v][m + v] = 1
-    b = [1] * n
-    r = [-1] * m + [0] * n  # reduced costs of: minimize -sum y
-    basis = list(range(m, m + n))
+            T[row[v]][j] = 1
+    for i in range(k):
+        T[i][m + i] = 1
+    b = [1] * k
+    r = [-1] * m + [0] * k  # reduced costs of: minimize -sum y
+    basis = list(range(m, m + k))
     D = 1
 
     while True:
-        rq = min(r)
+        rq = min(r, default=0)
         if rq >= 0:
             break
         q = r.index(rq)
         p = -1
-        for i in range(n):
+        for i in range(k):
             if T[i][q] > 0 and (p < 0 or _lex_less(T, b, i, p, q, m)):
                 p = i
         if p < 0:
@@ -202,7 +219,7 @@ def solve_covering_lp(lp: CoveringLp) -> LpSolution:
         # Integer-preserving pivot: row p stays, every other row i becomes
         # (a*T[i] - T[i][q]*T[p]) / D, an exact division; then D = a.
         Tp, bp, a = T[p], b[p], T[p][q]
-        for i in range(n):
+        for i in range(k):
             if i == p:
                 continue
             Ti, f = T[i], T[i][q]
@@ -217,12 +234,16 @@ def solve_covering_lp(lp: CoveringLp) -> LpSolution:
         D = a
 
     # x_v is the reduced cost of slack v; y_S is the value of column S.
-    y = [Fraction(0)] * m
+    zero = Fraction(0)
+    y = [zero] * m
     for i, j in enumerate(basis):
         if j < m:
             y[j] = Fraction(b[i], D)
-    x = tuple(Fraction(c, D) for c in r[m:])
-    sol = LpSolution(sum(y, Fraction(0)), x, tuple(y) + (Fraction(0),) * n)
+    x = [zero] * n
+    for i, v in enumerate(used):
+        x[v] = Fraction(r[m + i], D)
+    value = Fraction(sum(b[i] for i, j in enumerate(basis) if j < m), D)
+    sol = LpSolution(value, tuple(x), tuple(y) + (zero,) * n)
     verify_solution(lp, sol)
     return sol
 

@@ -105,19 +105,51 @@ def _distance_rows(g: Graph) -> tuple[list[int], int]:
             for ls, b in zip(layers, balls)], lanes
 
 
-def resolver_masks(g: Graph) -> Iterator[int]:
-    """Bitmask of R{x,y} for every pair x < y, in lexicographic pair order:
-    the XOR of rows x and y (``_distance_rows``), its lanes OR-ed onto lane 0.
+def _pair_masks(g: Graph, split: bool) -> Iterator[int]:
+    """Bitmask of R{x,y} for every pair x < y of one colour class, in
+    lexicographic pair order: the XOR of rows x and y (``_distance_rows``),
+    its lanes OR-ed onto lane 0.
+
+    Without ``split`` there is one class, V.  With it, a connected bipartite
+    graph has two, the parity of d(0, z), which bit 0 of row 0 holds: every
+    z resolves a pair at odd distance, since d(x, z) and d(y, z) differ in
+    parity, so those pairs are skipped and V is yielded once for them.
     """
     rows, lanes = _distance_rows(g)
     full = (1 << g.n) - 1
+    odd = rows[0] & full
+    # The classes hold when every edge joins them and no vertex is isolated:
+    # vertices out of reach of 0 all have the code n, so an edge between two
+    # of them would join one class.
+    if not (split and all(g.adj) and all((odd >> u ^ odd >> v) & 1 for u, v in g.edges)):
+        odd = 0
+    classes = [[r for z, r in enumerate(rows) if odd >> z & 1 == c] for c in (0, 1)]
+    seen = [0, 0]
     shifts = [g.n * lanes >> i for i in range(1, lanes.bit_length())]
     for x, rx in enumerate(rows):
-        for ry in rows[x + 1:]:
+        c = odd >> x & 1
+        seen[c] += 1
+        for ry in classes[c][seen[c]:]:
             v = rx ^ ry
             for s in shifts:
                 v |= v >> s
             yield v & full
+    if odd:
+        yield full
+
+
+def resolver_masks(g: Graph) -> Iterator[int]:
+    """Bitmask of R{x,y} for every pair x < y, in lexicographic pair order."""
+    return _pair_masks(g, False)
+
+
+def _minimal_resolvers(g: Graph) -> tuple[int, ...]:
+    """The minimal resolver masks of g, in order of first occurrence over the
+    pairs.  Pairs that every vertex resolves give V, which is minimal only
+    when it is the one set, so they are folded once (``_pair_masks``).
+    ``Graph._minimal_resolvers`` caches this per graph.
+    """
+    return tuple(_minimal_masks(dict.fromkeys(_pair_masks(g, True))))
 
 
 def constraint_system(g: Graph, reduce: bool = True) -> list[ResolvingConstraint]:
@@ -164,7 +196,8 @@ def r_of(g: Graph) -> int:
     """Minimum resolver-set size over all vertex pairs."""
     if g.n < 2:
         raise ValueError("r(G) needs at least two vertices")
-    return min(m.bit_count() for m in resolver_masks(g))
+    # A smallest resolver set has no proper subset among them: it is minimal.
+    return min(m.bit_count() for m in g._minimal_resolvers)
 
 
 def tree_profile(g: Graph) -> TreeProfile:

@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 from fracdim.lp import (
     CoveringLp,
     LpError,
+    LpSolution,
+    _bits,
+    _lex_less,
     format_rational,
     min_hitting_set,
     parse_rational,
@@ -128,6 +131,13 @@ def cover_instances():
     return build()
 
 
+@given(st.lists(st.frozensets(st.integers(0, 5), min_size=1), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_reduce_sets_keeps_each_first_set_with_no_proper_subset(sets):
+    firsts = [i for i, s in enumerate(sets) if s not in sets[:i]]
+    assert reduce_sets(sets) == [i for i in firsts if not any(t < sets[i] for t in sets)]
+
+
 @given(cover_instances())
 @settings(max_examples=80, deadline=None)
 def test_reduction_preserves_optimum(lp):
@@ -229,3 +239,57 @@ def test_fig5_tree_splits_into_components():
     # the reduced system of fig5_tree(9) is 27 two-element sets that form
     # 9 vertex-disjoint triangles; each needs 2 of its 3 vertices
     assert metric_dimension(generate("fig5_tree(9)")) == 18
+
+
+def full_tableau_solve(lp):
+    """The simplex with a tableau row and a slack column for every variable,
+    as it ran before variables in no cover set were left out."""
+    n, masks = lp.n_vars, lp.masks
+    m = len(masks)
+    T = [[0] * (m + n) for _ in range(n)]
+    for j, mask in enumerate(masks):
+        for v in _bits(mask):
+            T[v][j] = 1
+    for v in range(n):
+        T[v][m + v] = 1
+    b = [1] * n
+    r = [-1] * m + [0] * n
+    basis = list(range(m, m + n))
+    D = 1
+    while min(r) < 0:
+        rq = min(r)
+        q = r.index(rq)
+        p = -1
+        for i in range(n):
+            if T[i][q] > 0 and (p < 0 or _lex_less(T, b, i, p, q, m)):
+                p = i
+        Tp, bp, a = T[p], b[p], T[p][q]
+        for i in range(n):
+            if i != p:
+                f = T[i][q]
+                T[i] = [(a * x - f * y) // D for x, y in zip(T[i], Tp)]
+                b[i] = (a * b[i] - f * bp) // D
+        r = [(a * x - rq * y) // D for x, y in zip(r, Tp)]
+        basis[p] = q
+        D = a
+    y = [Fraction(0)] * m
+    for i, j in enumerate(basis):
+        if j < m:
+            y[j] = Fraction(b[i], D)
+    x = tuple(Fraction(c, D) for c in r[m:])
+    return LpSolution(sum(y, Fraction(0)), x, tuple(y) + (Fraction(0),) * n)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CoveringLp(5, [{0, 1}, {1, 2}]),
+    lambda: CoveringLp(3, []),
+    lambda: lp_of("wheel(24)"),
+    lambda: lp_of("random_tree(200,1000)"),
+], ids=["two_sets", "no_sets", "wheel(24)", "random_tree(200,1000)"])
+def test_variables_in_no_cover_set_leave_the_solve_unchanged(make):
+    lp = make()
+    unused = set(range(lp.n_vars)).difference(*lp.cover_sets)
+    assert unused  # the wheel's hub, and 121 of the tree's 200 vertices
+    sol = solve_covering_lp(lp)
+    assert sol == full_tableau_solve(lp)
+    assert all(sol.assignment[v] == 0 for v in unused)

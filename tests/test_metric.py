@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracdim.graph import Graph, all_pairs_distances, complement, diameter, is_connected
+from fracdim.lp import _minimal_masks
 from fracdim.metric import (
     MajorVertex,
     TreeProfile,
+    _pair_masks,
     constraint_system,
     family_twin_multiplicity,
     is_vertex_transitive,
@@ -16,6 +18,7 @@ from fracdim.metric import (
     tree_profile,
     twin_partition,
 )
+from fracdim.dimension import GraphFamily, _member_masks, _minimal_union
 from fracdim.families import generate
 
 
@@ -71,6 +74,50 @@ def test_resolver_masks_match_definition_at_lane_boundaries(n):
 
 def test_resolver_masks_of_one_vertex_is_empty():
     assert list(resolver_masks(Graph(1))) == []
+
+
+def every_pair_minimal(graphs):
+    """The minimal masks over every pair of every graph, pooled in order."""
+    return _minimal_masks(dict.fromkeys(m for g in graphs for m in resolver_masks(g)))
+
+
+def test_minimal_resolvers_match_the_every_pair_reference():
+    # Every labelled graph with n <= 6, disconnected bipartite ones included.
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        for code in range(1 << len(pairs)):
+            g = Graph(n, [p for i, p in enumerate(pairs) if code >> i & 1])
+            assert list(g._minimal_resolvers) == every_pair_minimal([g]), (n, code)
+    specs = [f"random_tree({n},{n * 7})" for n in (2, 3, 9, 40, 120)]
+    specs += [f"random_unicyclic({n},{n * 5})" for n in (3, 8, 30, 61)]
+    specs += [f"cycle({n})" for n in (3, 4, 9, 10, 31, 32)]
+    specs += [f"random_connected({n},{p},{n + p})" for n in (7, 20) for p in (10, 40)]
+    specs += ["twin_cycle_family(12)", "remark_a_family(4)", "star_family(7)"]
+    for spec in specs:
+        fam = generate(spec)
+        members = getattr(fam, "members", (fam,))
+        assert list(_minimal_union(_member_masks(GraphFamily(members)))) == \
+            every_pair_minimal(members), spec
+
+
+def colour_classes(g):
+    """Sizes of the two colour classes of a connected bipartite graph."""
+    odd = sum(d % 2 for d in all_pairs_distances(g)[0])
+    return g.n - odd, odd
+
+
+@pytest.mark.parametrize("spec", ["path(2)", "path(9)", "cycle(10)", "star(6)",
+                                  "random_tree(200,1000)", "fig5_tree(4)"])
+def test_connected_bipartite_graphs_fold_only_same_colour_pairs(spec):
+    g = generate(spec)
+    a, b = colour_classes(g)
+    assert len(list(_pair_masks(g, True))) == a * (a - 1) // 2 + b * (b - 1) // 2 + 1
+
+
+@pytest.mark.parametrize("g", [generate("cycle(9)"), generate("petersen"),
+                               Graph(5, [(0, 1), (2, 3)]), Graph(3, [(0, 1)]), Graph(4)])
+def test_other_graphs_fold_every_pair(g):
+    assert list(_pair_masks(g, True)) == list(resolver_masks(g))
 
 
 def test_constraint_system_k4_reduced_to_pairs():
