@@ -55,9 +55,11 @@ class Budget:
     limits: Mapping[str, int]
 
     def __post_init__(self):
-        for key in self.limits:
+        for key, value in self.limits.items():
             if key not in self.KEYS:
                 raise ValueError(f"unknown budget key {key!r}; known: {', '.join(self.KEYS)}")
+            if key != "seed" and int(value) < 0:
+                raise ValueError(f"budget {key} must be >= 0, got {value}")
 
     def get(self, key: str, default: int) -> int:
         return int(self.limits.get(key, default))

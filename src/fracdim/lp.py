@@ -14,12 +14,14 @@ the packing dual
     subject to  sum_{S ∋ v} y_S <= 1    for every variable v
                 y >= 0
 
-starting from the slack basis, which is feasible at the origin.  Pivots are
-integer-preserving (Bareiss): every tableau entry is an integer over one
-common determinant, so each update is an exact integer division and no gcd
-is taken.  Dantzig's rule picks the entering column and a lexicographic
-ratio test picks the leaving row, which rules out cycling.  The covering
-optimum x is read off the reduced costs of the slacks.  Values become
+starting from the slack basis, which is feasible at the origin.  The tableau
+is one integer matrix: a row per variable and the objective row, with the
+right-hand side as a column.  Pivots are integer-preserving (Bareiss) and
+treat every row alike: each entry is an integer over one common determinant,
+so each update is an exact integer division and no gcd is taken.  Dantzig's
+rule picks the entering column and a lexicographic ratio test picks the
+leaving row, which rules out cycling.  The objective row ends with the value
+and the covering optimum x, the reduced costs of the slacks.  Values become
 `fractions.Fraction` only in the returned solution, and every solution ships
 a dual certificate that is re-verified by direct substitution before it is
 returned.
@@ -155,19 +157,16 @@ def reduce_sets(sets: Sequence[frozenset[int]]) -> list[int]:
     return [first[m] for m in _minimal_masks(first)]
 
 
-def _lex_less(T, b, i, k, q, first_slack) -> bool:
-    """Lexicographic ratio test: does row i beat row k for entering column q?
+def _lex_less(Ti, Tk, q, m) -> bool:
+    """Lexicographic ratio test: does row Ti beat row Tk for entering column q?
 
     Rows are compared by (b, B^-1 row) / T[.][q] lexicographically, by
-    cross-multiplication; the slack columns hold B^-1 (scaled by D).  The
+    cross-multiplication: that is each row from column m on, the right-hand
+    side b and then the slack columns, which hold B^-1 (scaled by D).  The
     rows of B^-1 are independent, so two distinct rows never tie.
     """
-    ti, tk = T[i][q], T[k][q]
-    lhs, rhs = b[i] * tk, b[k] * ti
-    if lhs != rhs:
-        return lhs < rhs
-    Ti, Tk = T[i], T[k]
-    for j in range(first_slack, len(Ti)):
+    ti, tk = Ti[q], Tk[q]
+    for j in range(m, len(Ti)):
         lhs, rhs = Ti[j] * tk, Tk[j] * ti
         if lhs != rhs:
             return lhs < rhs
@@ -188,62 +187,54 @@ def solve_covering_lp(lp: CoveringLp) -> LpSolution:
     for mask in masks:
         union |= mask
     used = list(_bits(union))
-    row = {v: i for i, v in enumerate(used)}
     k = len(used)
 
-    # Packing dual, one row per used variable v:  sum_{S ∋ v} y_S + s_v = 1.
-    # Columns: y_0..y_{m-1} | slack s_v of each used v.  Every entry is an
-    # integer over the common denominator D.
-    T = [[0] * (m + k) for _ in range(k)]
-    for j, mask in enumerate(masks):
-        for v in _bits(mask):
-            T[row[v]][j] = 1
-    for i in range(k):
-        T[i][m + i] = 1
-    b = [1] * k
-    r = [-1] * m + [0] * k  # reduced costs of: minimize -sum y
-    basis = list(range(m, m + k))
+    # One row per used variable v:  sum_{S ∋ v} y_S + s_v = 1, then row k,
+    # the reduced costs of  minimize -sum y,  whose right-hand side is sum y.
+    # Columns: y_0..y_{m-1} | right-hand side | slack s_v of each used v.
+    # Every entry is an integer over the common denominator D.
+    T = [[mask >> v & 1 for mask in masks] + [1] + [0] * k for v in used]
+    for i, Ti in enumerate(T):
+        Ti[m + 1 + i] = 1
+    T.append([-1] * m + [0] * (k + 1))
+    basis = list(range(m + 1, m + 1 + k))
     D = 1
 
     while True:
-        rq = min(r, default=0)
+        rq = min(T[k])  # the right-hand side, the value, is never negative
         if rq >= 0:
             break
-        q = r.index(rq)
+        q = T[k].index(rq)
         p = -1
         for i in range(k):
-            if T[i][q] > 0 and (p < 0 or _lex_less(T, b, i, p, q, m)):
+            if T[i][q] > 0 and (p < 0 or _lex_less(T[i], T[p], q, m)):
                 p = i
         if p < 0:
             raise LpInternalError("unbounded LP; impossible for a covering instance")
         # Integer-preserving pivot: row p stays, every other row i becomes
         # (a*T[i] - T[i][q]*T[p]) / D, an exact division; then D = a.
-        Tp, bp, a = T[p], b[p], T[p][q]
-        for i in range(k):
+        Tp, a = T[p], T[p][q]
+        for i in range(k + 1):
             if i == p:
                 continue
             Ti, f = T[i], T[i][q]
             if f:
                 T[i] = [(a * x - f * y) // D for x, y in zip(Ti, Tp)]
-                b[i] = (a * b[i] - f * bp) // D
             elif a != D:  # with a == D the row is unchanged
                 T[i] = [a * x // D for x in Ti]
-                b[i] = a * b[i] // D
-        r = [(a * x - rq * y) // D for x, y in zip(r, Tp)]
         basis[p] = q
         D = a
 
-    # x_v is the reduced cost of slack v; y_S is the value of column S.
+    # y_S is the right-hand side of its row; x_v is the reduced cost of s_v.
     zero = Fraction(0)
     y = [zero] * m
     for i, j in enumerate(basis):
         if j < m:
-            y[j] = Fraction(b[i], D)
+            y[j] = Fraction(T[i][m], D)
     x = [zero] * n
     for i, v in enumerate(used):
-        x[v] = Fraction(r[m + i], D)
-    value = Fraction(sum(b[i] for i, j in enumerate(basis) if j < m), D)
-    sol = LpSolution(value, tuple(x), tuple(y) + (zero,) * n)
+        x[v] = Fraction(T[k][m + 1 + i], D)
+    sol = LpSolution(Fraction(T[k][m], D), tuple(x), tuple(y) + (zero,) * n)
     verify_solution(lp, sol)
     return sol
 
@@ -362,10 +353,8 @@ def min_hitting_set(lp: CoveringLp) -> frozenset[int]:
     hit: list[int] = []
     for comp in _components(masks):
         group = sorted((m for m in masks if m & comp), key=int.bit_count)
-        cols = list(enumerate(_bits(comp)))
-        sub = [sum(1 << i for i, v in cols if m >> v & 1) for m in group]
-        lower = ceil(solve_covering_lp(CoveringLp._from_masks(len(cols), sub)).value)
-        for k in range(lower, len(cols) + 1):
+        lower = ceil(solve_covering_lp(CoveringLp._from_masks(lp.n_vars, group)).value)
+        for k in range(lower, comp.bit_count() + 1):
             found = search(group, [], k)
             if found is not None:
                 hit += found

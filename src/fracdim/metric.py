@@ -14,7 +14,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .graph import Graph, DistanceMatrix, all_pairs_distances, is_tree
-from .lp import _bits, _minimal_masks
+from .lp import _bits, _minimal_masks, reduce_sets
 
 
 @dataclass(frozen=True)
@@ -161,16 +161,13 @@ def constraint_system(g: Graph, reduce: bool = True) -> list[ResolvingConstraint
     """
     if g.n < 2:
         raise ValueError("constraint systems need at least two vertices")
-    pairs = zip(combinations(range(g.n), 2), resolver_masks(g))
-    if not reduce:
-        return [ResolvingConstraint(p, frozenset(_bits(m))) for p, m in pairs]
-    first: dict[int, tuple[int, int]] = {}
-    for p, m in pairs:
-        first.setdefault(m, p)
-    return [
-        ResolvingConstraint(first[m], frozenset(_bits(m)))
-        for m in _minimal_masks(first)
+    system = [
+        ResolvingConstraint(p, frozenset(_bits(m)))
+        for p, m in zip(combinations(range(g.n), 2), resolver_masks(g))
     ]
+    if not reduce:
+        return system
+    return [system[i] for i in reduce_sets([c.members for c in system])]
 
 
 def twin_partition(g: Graph) -> TwinPartition:

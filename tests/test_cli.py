@@ -327,6 +327,13 @@ def test_verify_unknown_budget_key_exits_2(capsys):
     assert code == 2 and out == "" and "unknown budget key 'nn'" in err
 
 
+def test_verify_negative_budget_count_exits_2(capsys):
+    # a suite that checked nothing must not report a pass
+    code, out, err = run(capsys, "verify", "thm1_closed_forms", "--budget", "trees=-2")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: budget trees must be >= 0, got -2"
+
+
 def test_verify_all_runs_every_suite_in_order(capsys):
     code, out, _ = run(
         capsys, "verify", "all",

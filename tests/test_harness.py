@@ -44,6 +44,15 @@ def test_budget_rejects_unknown_keys():
     assert Budget.parse([f"{key}=3" for key in Budget.KEYS]).get("ab", 4) == 3
 
 
+def test_budget_rejects_negative_counts():
+    with pytest.raises(ValueError, match="budget samples must be >= 0, got -1"):
+        run_suite("obs2_sandwich", {"samples": -1})
+    with pytest.raises(ValueError, match="budget trees must be >= 0, got -2"):
+        Budget.parse(["trees=-2"])
+    # a seed is any integer
+    assert Budget.parse(["seed=-5", "n=0"]).get("seed", 7) == -5
+
+
 def test_budget_keys_are_the_ones_the_suites_read():
     read = set(re.findall(r'budget\.get\("(\w+)"', inspect.getsource(harness)))
     assert read == set(Budget.KEYS)

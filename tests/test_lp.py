@@ -9,7 +9,6 @@ from fracdim.lp import (
     LpError,
     LpSolution,
     _bits,
-    _lex_less,
     format_rational,
     min_hitting_set,
     parse_rational,
@@ -241,8 +240,22 @@ def test_fig5_tree_splits_into_components():
     assert metric_dimension(generate("fig5_tree(9)")) == 18
 
 
+def full_tableau_lex_less(T, b, i, k, q, first_slack):
+    """The lexicographic ratio test of the reference: (b, B^-1 row) / T[.][q]."""
+    ti, tk = T[i][q], T[k][q]
+    lhs, rhs = b[i] * tk, b[k] * ti
+    if lhs != rhs:
+        return lhs < rhs
+    for j in range(first_slack, len(T[i])):
+        lhs, rhs = T[i][j] * tk, T[k][j] * ti
+        if lhs != rhs:
+            return lhs < rhs
+    raise AssertionError("lexicographic ratio test tied")
+
+
 def full_tableau_solve(lp):
     """The simplex with a tableau row and a slack column for every variable,
+    and the right-hand side and reduced costs kept apart from the tableau,
     as it ran before variables in no cover set were left out."""
     n, masks = lp.n_vars, lp.masks
     m = len(masks)
@@ -261,7 +274,7 @@ def full_tableau_solve(lp):
         q = r.index(rq)
         p = -1
         for i in range(n):
-            if T[i][q] > 0 and (p < 0 or _lex_less(T, b, i, p, q, m)):
+            if T[i][q] > 0 and (p < 0 or full_tableau_lex_less(T, b, i, p, q, m)):
                 p = i
         Tp, bp, a = T[p], b[p], T[p][q]
         for i in range(n):
@@ -280,6 +293,13 @@ def full_tableau_solve(lp):
     return LpSolution(sum(y, Fraction(0)), x, tuple(y) + (Fraction(0),) * n)
 
 
+def assert_solve_matches_the_reference(lp):
+    sol = solve_covering_lp(lp)
+    assert sol == full_tableau_solve(lp)
+    unused = set(range(lp.n_vars)).difference(*lp.cover_sets)
+    assert all(sol.assignment[v] == 0 for v in unused)
+
+
 @pytest.mark.parametrize("make", [
     lambda: CoveringLp(5, [{0, 1}, {1, 2}]),
     lambda: CoveringLp(3, []),
@@ -288,8 +308,12 @@ def full_tableau_solve(lp):
 ], ids=["two_sets", "no_sets", "wheel(24)", "random_tree(200,1000)"])
 def test_variables_in_no_cover_set_leave_the_solve_unchanged(make):
     lp = make()
-    unused = set(range(lp.n_vars)).difference(*lp.cover_sets)
-    assert unused  # the wheel's hub, and 121 of the tree's 200 vertices
-    sol = solve_covering_lp(lp)
-    assert sol == full_tableau_solve(lp)
-    assert all(sol.assignment[v] == 0 for v in unused)
+    # the wheel's hub, and 121 of the tree's 200 vertices
+    assert set(range(lp.n_vars)).difference(*lp.cover_sets)
+    assert_solve_matches_the_reference(lp)
+
+
+@given(cover_instances())
+@settings(max_examples=80, deadline=None)
+def test_solve_matches_the_reference_on_random_instances(lp):
+    assert_solve_matches_the_reference(lp)
