@@ -15,10 +15,10 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Callable, Collection, Mapping
+from typing import Callable, Collection, Mapping, Sequence
 
 from .graph import Graph, complement, diameter
-from .lp import format_rational
+from .lp import CoveringLp, format_rational
 from .metric import (
     family_twin_multiplicity,
     is_vertex_transitive,
@@ -30,17 +30,11 @@ from .dimension import (
     DimensionResult,
     GraphFamily,
     _minimal_union,
+    _solve,
     bounds_report,
-    fractional_dimension,
     simultaneous_dimension,
-    simultaneous_fractional_dimension,
 )
-from .families import (
-    SplitMix64,
-    generate,
-    graph_code,
-    with_complement,
-)
+from .families import SplitMix64, generate, graph_code
 from .oracles import has_fixed_point_free_twin_permutation, oracle_dimf, oracle_sdimf
 
 DEFAULT_SEED = 20240801
@@ -137,9 +131,11 @@ class _Memo:
     ``minimal`` holds the minimal resolver masks of each member graph by
     (n, edges), so equal graphs built apart share them without keeping any
     Graph alive, and
-    ``solved`` each engine result by (engine, n, pooled minimal masks): an
-    instance's value and optimal assignments depend only on its distinct
-    minimal masks, not on the graphs or the order that gave them.
+    ``solved`` each LP result by (n, pooled minimal masks), so a graph, a
+    family and a diameter-2 pair {G, complement(G)} with one system share
+    one solve.  The value depends only on the set of masks; the assignment
+    also depends on their order, so checks read from a shared result only
+    the value and what holds for every feasible assignment.
     """
 
     minimal: dict[tuple, tuple[int, ...]] = field(default_factory=dict)
@@ -150,9 +146,6 @@ class _Memo:
         masks = self.minimal.get(key)
         if masks is None:
             masks = self.minimal[key] = g._minimal_resolvers
-        # An equal graph built apart takes them too, so that an engine
-        # called on it builds none (they are Graph's cached property).
-        vars(g).setdefault("_minimal_resolvers", masks)
         return masks
 
 
@@ -161,31 +154,32 @@ class _Memo:
 _MEMO: ContextVar[_Memo | None] = ContextVar("fracdim_suite_memo", default=None)
 
 
-def _solved(engine: Callable, arg: Graph | GraphFamily) -> DimensionResult:
-    """``engine(arg)``, called once per distinct instance in a suite run."""
+def _solved(members: Sequence[Graph]) -> DimensionResult:
+    """The covering LP of the members' pooled system, solved once per
+    distinct system in a suite run."""
+    n = members[0].n
+    if n < 2:
+        raise ValueError("dimension computations need at least two vertices")
     memo = _MEMO.get()
-    if isinstance(arg, Graph):
-        pooled = memo.masks(arg)
-    else:
-        pooled = _minimal_union([memo.masks(g) for g in arg.members])
-    key = (engine, arg.n, frozenset(pooled))
+    pooled = _minimal_union([memo.masks(g) for g in members])
+    key = (n, frozenset(pooled))
     res = memo.solved.get(key)
     if res is None:
-        res = memo.solved[key] = engine(arg)
+        res = memo.solved[key] = _solve(CoveringLp._from_masks(n, pooled))
     return res
 
 
 def _dimf(g: Graph) -> Fraction:
-    return _solved(fractional_dimension, g).value
+    return _solved([g]).value
 
 
 def _sdf(fam: GraphFamily) -> Fraction:
-    return _solved(simultaneous_fractional_dimension, fam).value
+    return _solved(fam.members).value
 
 
 def _pair(g: Graph) -> Fraction:
     """Sd_f of the pair {G, complement(G)}."""
-    return _sdf(with_complement(g))
+    return _solved([g, complement(g)]).value
 
 
 def _rng(budget: Budget, salt: int) -> SplitMix64:
@@ -307,7 +301,7 @@ def _suite_obs2_sandwich(budget: Budget) -> list[Unit]:
 
 
 def _twin_bound_holds(fam: GraphFamily) -> tuple[bool, str]:
-    res = _solved(simultaneous_fractional_dimension, fam)
+    res = _solved(fam.members)
     for gi, g in enumerate(fam.members):
         for cls in twin_partition(g).nontrivial():
             total = sum((res.assignment[v] for v in cls), Fraction(0))

@@ -133,25 +133,25 @@ def test_suite_text_is_pinned(budget, digest):
 def test_every_failing_witness_regenerates_its_instance(monkeypatch):
     off = Fraction(1, 7)
     calls = []
+    solved, bounds = harness._solved, harness.bounds_report
 
-    def perturbed(engine, shift):
-        def run(arg):
-            calls.append(engine)
-            return shift(getattr(dimension, engine)(arg))
-        return run
-
-    def shifted(res, by):
+    def shifted(members):
+        calls.append(len(members))
+        res = solved(members)
+        by = -off if len(members) == 1 else off
         return dataclasses.replace(
             res, value=res.value + by, assignment=tuple(x - by for x in res.assignment)
         )
 
-    # The two fractional engines drift apart, so checks comparing them fail too.
-    for engine, shift in (
-        ("fractional_dimension", lambda r: shifted(r, -off)),
-        ("simultaneous_fractional_dimension", lambda r: shifted(r, off)),
-        ("bounds_report", lambda r: dataclasses.replace(r, sdf=r.sdf + off)),
-    ):
-        monkeypatch.setattr(harness, engine, perturbed(engine, shift))
+    def shifted_bounds(fam):
+        calls.append(len(fam))
+        rep = bounds(fam)
+        return dataclasses.replace(rep, sdf=rep.sdf + off)
+
+    # One-member and pooled systems drift apart, so checks comparing them
+    # fail too, even where the two are one system.
+    monkeypatch.setattr(harness, "_solved", shifted)
+    monkeypatch.setattr(harness, "bounds_report", shifted_bounds)
 
     budget = {"samples": 6, "trees": 6, "n": 7, "exhaustive_n": 4, "ab": 2}
     failed = set()
@@ -164,29 +164,26 @@ def test_every_failing_witness_regenerates_its_instance(monkeypatch):
             generate(c.witness.split()[0].removeprefix("spec="))
         if failing:
             failed.add(name)
-    # Every suite but one reaches a perturbed engine; lemma10 compares
+    # Every suite but one reaches a perturbed solve; lemma10 compares
     # resolver sets only.
     assert failed == set(SUITE_ORDER) - {"lemma10_diam2_subset"}
 
 
-def _count_engine_calls(monkeypatch) -> list:
-    """Record each fractional engine call the harness makes, with its instance."""
+def _count_solves(monkeypatch) -> list:
+    """Record each LP the harness solves, by its (n, set of masks)."""
     calls = []
+    solve = harness._solve
 
-    def counted(engine):
-        def run(arg):
-            fam = arg if isinstance(arg, dimension.GraphFamily) else dimension.GraphFamily([arg])
-            calls.append((engine, fam.n, frozenset(dimension.joint_cover_sets(fam))))
-            return getattr(dimension, engine)(arg)
-        return run
+    def counted(lp):
+        calls.append((lp.n_vars, frozenset(lp.masks)))
+        return solve(lp)
 
-    for engine in ("fractional_dimension", "simultaneous_fractional_dimension"):
-        monkeypatch.setattr(harness, engine, counted(engine))
+    monkeypatch.setattr(harness, "_solve", counted)
     return calls
 
 
 def test_a_suite_solves_each_distinct_instance_once(monkeypatch):
-    calls = _count_engine_calls(monkeypatch)
+    calls = _count_solves(monkeypatch)
     asked = []
     solved = harness._solved
     monkeypatch.setattr(harness, "_solved", lambda *a: asked.append(a) or solved(*a))
@@ -196,7 +193,7 @@ def test_a_suite_solves_each_distinct_instance_once(monkeypatch):
 
 
 def test_the_memo_is_not_shared_between_calls(monkeypatch):
-    calls = _count_engine_calls(monkeypatch)
+    calls = _count_solves(monkeypatch)
     budget = {"exhaustive_n": 4, "samples": 6}
     run_suite("thm8_characterizations", budget)
     first = len(calls)
@@ -204,6 +201,26 @@ def test_the_memo_is_not_shared_between_calls(monkeypatch):
     run_suite("thm8_characterizations", budget)
     assert first > 0 and len(calls) == 2 * first
     assert harness._MEMO.get() is None
+
+
+@pytest.mark.parametrize(
+    "spec, solves",
+    [("petersen", 1), ("wheel(7)", 1), ("cycle(5)", 1), ("path(6)", 2)],
+)
+def test_a_graph_and_its_diameter_2_pair_share_one_solve(monkeypatch, spec, solves):
+    # Lemma 10: diam G = 2 makes the pooled system of {G, complement(G)}
+    # G's own, so its Sd_f is dim_f(G) from the same solve.
+    calls = []
+    solve = dimension.solve_covering_lp
+    monkeypatch.setattr(dimension, "solve_covering_lp", lambda lp: calls.append(lp) or solve(lp))
+    g = generate(spec)
+    token = harness._MEMO.set(harness._Memo())
+    try:
+        dimf, pair = harness._dimf(g), harness._pair(g)
+    finally:
+        harness._MEMO.reset(token)
+    assert len(calls) == solves
+    assert (dimf == pair) == (solves == 1)
 
 
 def test_the_memo_is_dropped_when_a_check_raises(monkeypatch):
