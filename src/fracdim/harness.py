@@ -20,6 +20,7 @@ from typing import Callable, Collection, Mapping, Sequence
 from .graph import Graph, complement, diameter
 from .lp import CoveringLp, format_rational
 from .metric import (
+    _isomorphic,
     family_twin_multiplicity,
     is_vertex_transitive,
     r_of,
@@ -262,7 +263,7 @@ def _suite_thm1_closed_forms(budget: Budget) -> list[Unit]:
     specs = [f"random_tree({_size(rng, 4, cap)},{rng.next_u64()})" for _ in range(trees)]
     units.append(
         _batch_unit(
-            f"tree closed form (sigma-ex1)/2 on {trees} random trees (n <= {cap})",
+            f"tree closed form (sigma-ex1)/2 on {trees} random trees (n <= {max(cap, 4)})",
             specs,
             lambda g: _expect(oracle_dimf(g).value, _dimf(g)),
         )
@@ -574,7 +575,7 @@ def _suite_thm8_characterizations(budget: Budget) -> list[Unit]:
         specs.append(f"graph_index({n},{rng.next_u64() % (1 << n * (n - 1) // 2)})")
     units.append(
         _batch_unit(
-            f"characterizations on {samples} sampled graphs with 6 <= n <= {size_cap}",
+            f"characterizations on {samples} sampled graphs with 6 <= n <= {max(size_cap, 6)}",
             specs,
             check,
         )
@@ -597,7 +598,7 @@ def _suite_thm14_trees(budget: Budget) -> list[Unit]:
     return [
         _batch_unit(
             f"tree/complement pairs take the complement's dimension on {trees} "
-            f"random trees (n <= {cap})",
+            f"random trees (n <= {max(cap, 5)})",
             specs,
             check,
         )
@@ -643,40 +644,10 @@ def _suite_prop15_cycles(budget: Budget) -> list[Unit]:
     return units
 
 
-def _iso_h1(g: Graph) -> bool:
-    return g.n == 4 and sorted(g.degree(v) for v in range(4)) == [1, 2, 2, 3]
-
-
-def _girth_at_most_3(g: Graph) -> bool:
-    nbr = [set(g.adj[v]) for v in range(g.n)]
-    return any(len(nbr[u] & nbr[v]) > 0 for u, v in g.edges)
-
-
-def _iso_h2(g: Graph) -> bool:
-    return (
-        g.n == 5
-        and sorted(g.degree(v) for v in range(5)) == [1, 2, 2, 2, 3]
-        and not _girth_at_most_3(g)
-    )
-
-
-def _iso_h3(g: Graph) -> bool:
-    if g.n != 6 or sorted(g.degree(v) for v in range(6)) != [1, 1, 2, 2, 3, 3]:
-        return False
-    if _girth_at_most_3(g):
-        return False
-    supports = [v for v in range(6) if g.degree(v) == 3]
-    return g.has_edge(supports[0], supports[1])
-
-
 # The trichotomy's exceptions: each pairs to its own dimension, which exceeds
 # the complement's by the given offset.  Every other unicyclic graph pairs to
 # the complement's dimension.
-_UNICYCLIC_EXCEPTIONS = (
-    ("h1", _iso_h1, Fraction(1, 2)),
-    ("h2", _iso_h2, Fraction(1, 2)),
-    ("h3", _iso_h3, Fraction(1, 3)),
-)
+_UNICYCLIC_EXCEPTIONS = (("h1", Fraction(1, 2)), ("h2", Fraction(1, 2)), ("h3", Fraction(1, 3)))
 
 
 def _suite_unicyclic_table(budget: Budget) -> list[Unit]:
@@ -695,7 +666,7 @@ def _suite_unicyclic_table(budget: Budget) -> list[Unit]:
                         oracle_sdimf(pair).value, _sdf)
         )
 
-    for spec, _, offset in _UNICYCLIC_EXCEPTIONS:
+    for spec, offset in _UNICYCLIC_EXCEPTIONS:
         def exception(fam, off=offset) -> tuple[bool, str]:
             value, own, other = _sdf(fam), _dimf(fam.members[0]), _dimf(fam.members[1])
             return _verdict(
@@ -714,8 +685,10 @@ def _suite_unicyclic_table(budget: Budget) -> list[Unit]:
     rng = _rng(budget, 0x0117)
     specs = [f"random_unicyclic({_size(rng, 3, 10)},{rng.next_u64()})" for _ in range(samples)]
 
+    exceptions = [(generate(spec), offset) for spec, offset in _UNICYCLIC_EXCEPTIONS]
+
     def check(g: Graph):
-        offset = next((off for _, iso, off in _UNICYCLIC_EXCEPTIONS if iso(g)), 0)
+        offset = next((off for h, off in exceptions if _isomorphic(g, h)), 0)
         expected = _dimf(complement(g)) + offset
         value = _pair(g)
         if value != expected:

@@ -193,7 +193,11 @@ def solve_covering_lp(lp: CoveringLp) -> LpSolution:
     # the reduced costs of  minimize -sum y,  whose right-hand side is sum y.
     # Columns: y_0..y_{m-1} | right-hand side | slack s_v of each used v.
     # Every entry is an integer over the common denominator D.
-    T = [[mask >> v & 1 for mask in masks] + [1] + [0] * k for v in used]
+    T = [[0] * m + [1] + [0] * k for _ in used]
+    row = dict(zip(used, T))
+    for j, mask in enumerate(masks):
+        for v in _bits(mask):
+            row[v][j] = 1
     for i, Ti in enumerate(T):
         Ti[m + 1 + i] = 1
     T.append([-1] * m + [0] * (k + 1))

@@ -1,6 +1,9 @@
 """Resolving-set machinery: constraint systems, twins, r(G), tree profiles,
 and a small exact vertex-transitivity test.
 
+The test searches for maps that keep every distance: such a map keeps
+distance 1, so it is an automorphism, and every automorphism keeps distances.
+
 A vertex z resolves a pair {x, y} when its distances to x and y differ (INF
 equals only itself, so disconnected graphs are covered).  The resolvers of a
 pair, a bitmask from two bit-sliced distance rows, support one constraint.
@@ -227,54 +230,49 @@ def tree_profile(g: Graph) -> TreeProfile:
 _MAX_TRANSITIVITY_N = 16
 
 
-def _vertex_signatures(g: Graph, dm: DistanceMatrix) -> list[tuple]:
-    sigs = []
-    for v in range(g.n):
-        profile = tuple(sorted(dm[v]))
-        nbr_deg = tuple(sorted(g.degree(u) for u in g.adj[v]))
-        sigs.append((g.degree(v), profile, nbr_deg))
-    return sigs
+def _extend_isometry(d: Sequence[Sequence[float]], e: Sequence[Sequence[float]],
+                     image: list[int]) -> bool:
+    """Extend the map p -> image[p] of the graph with distance rows ``d`` into
+    the one with rows ``e``, vertex by vertex, keeping every distance.
 
-
-def _extend_automorphism(g: Graph, sigs, image: list[int], used: list[bool]) -> bool:
+    A candidate w for the next vertex u needs d(u, p) = e(w, image[p]) for
+    every p mapped so far.  Only w is at distance 0 from w, so no vertex is
+    taken twice; a complete map is then a bijection that keeps distance 1,
+    adjacency, both ways: an isomorphism.  Every isomorphism keeps distances,
+    so none is missed.
+    """
     u = len(image)
-    if u == g.n:
+    if u == len(d):
         return True
-    for w in range(g.n):
-        if used[w] or sigs[w] != sigs[u]:
-            continue
-        ok = True
-        for prev in range(u):
-            if g.has_edge(u, prev) != g.has_edge(w, image[prev]):
-                ok = False
-                break
-        if ok:
+    known = d[u][:u]
+    for w, ew in enumerate(e):
+        if tuple(map(ew.__getitem__, image)) == known:
             image.append(w)
-            used[w] = True
-            if _extend_automorphism(g, sigs, image, used):
+            if _extend_isometry(d, e, image):
                 return True
             image.pop()
-            used[w] = False
     return False
 
 
+def _isomorphic(g: Graph, h: Graph) -> bool:
+    """Equal order, equal sorted distance rows, then ``_extend_isometry``."""
+    if g.n != h.n:
+        return False
+    d, e = all_pairs_distances(g).rows, all_pairs_distances(h).rows
+    return sorted(map(sorted, d)) == sorted(map(sorted, e)) and _extend_isometry(d, e, [])
+
+
 def is_vertex_transitive(g: Graph) -> bool:
-    """Exact test by backtracking automorphism search, for n <= _MAX_TRANSITIVITY_N."""
+    """Exact test for n <= _MAX_TRANSITIVITY_N: every vertex has the same
+    sorted distance row, and vertex 0 maps onto each other vertex by an
+    automorphism (``_extend_isometry``)."""
     if g.n > _MAX_TRANSITIVITY_N:
         raise ValueError("instance too large for exact automorphism search "
                          f"(n={g.n} > {_MAX_TRANSITIVITY_N})")
-    if g.n == 1:
-        return True
-    dm = all_pairs_distances(g)
-    sigs = _vertex_signatures(g, dm)
-    if len(set(sigs)) > 1:
+    d = all_pairs_distances(g).rows
+    if len({tuple(sorted(row)) for row in d}) > 1:
         return False
-    for target in range(1, g.n):
-        used = [False] * g.n
-        used[target] = True
-        if not _extend_automorphism(g, sigs, [target], used):
-            return False
-    return True
+    return all(_extend_isometry(d, d, [t]) for t in range(1, g.n))
 
 
 def family_twin_multiplicity(family, u: int) -> int:

@@ -4,12 +4,14 @@ import inspect
 import json
 import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import fracdim.dimension as dimension
 import fracdim.harness as harness
 from fracdim.families import generate
+from fracdim.graph import Graph, is_connected
 from fracdim.harness import Budget, SUITE_ORDER, run_all, run_suite
 from fracdim.oracles import OracleValue
 
@@ -235,3 +237,55 @@ def test_the_memo_is_dropped_when_a_check_raises(monkeypatch):
         run_suite("thm4_sdf_one", {"samples": 2})
     assert held == [1]  # the check raised after its solve was memoized
     assert harness._MEMO.get() is None
+
+
+def test_descriptions_state_the_sizes_drawn_when_the_cap_is_below_the_floor():
+    budget = {"n": 2}
+    described = [c.description for name in ("thm1_closed_forms", "thm8_characterizations",
+                                            "thm14_trees")
+                 for c in run_suite(name, budget).checks]
+    assert "tree closed form (sigma-ex1)/2 on 60 random trees (n <= 4)" in described
+    assert "characterizations on 60 sampled graphs with 6 <= n <= 6" in described
+    assert ("tree/complement pairs take the complement's dimension on 40 random trees "
+            "(n <= 5)") in described
+
+
+def _girth_at_most_3(g):
+    nbr = [set(g.adj[v]) for v in range(g.n)]
+    return any(nbr[u] & nbr[v] for u, v in g.edges)
+
+
+def _degrees(g):
+    return sorted(g.degree(v) for v in range(g.n))
+
+
+def _is_h1(g):
+    return g.n == 4 and _degrees(g) == [1, 2, 2, 3]
+
+
+def _is_h2(g):
+    return g.n == 5 and _degrees(g) == [1, 2, 2, 2, 3] and not _girth_at_most_3(g)
+
+
+def _is_h3(g):
+    if g.n != 6 or _degrees(g) != [1, 1, 2, 2, 3, 3] or _girth_at_most_3(g):
+        return False
+    supports = [v for v in range(6) if g.degree(v) == 3]
+    return g.has_edge(*supports)
+
+
+def test_exception_match_agrees_with_the_degree_and_girth_rules():
+    # Every connected unicyclic graph on n <= 6 vertices: n edges, connected.
+    rules = {"h1": _is_h1, "h2": _is_h2, "h3": _is_h3}
+    exceptions = {spec: generate(spec) for spec, _ in harness._UNICYCLIC_EXCEPTIONS}
+    matched = dict.fromkeys(rules, 0)
+    for n in range(3, 7):
+        for edges in combinations(combinations(range(n), 2), n):
+            g = Graph(n, edges)
+            if not is_connected(g):
+                continue
+            for spec, h in exceptions.items():
+                match = harness._isomorphic(g, h)
+                assert match == rules[spec](g), (spec, edges)
+                matched[spec] += match
+    assert all(matched.values()), matched

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -260,6 +260,34 @@ def test_vertex_transitive():
     assert is_vertex_transitive(generate("circulant(9,1,2)"))
     with pytest.raises(ValueError, match="too large"):
         is_vertex_transitive(generate("cycle(17)"))
+
+
+def transitive_by_permutations(g):
+    """Vertex 0 reaches every vertex under some automorphism, over all n! maps."""
+    edges = {frozenset(e) for e in g.edges}
+    reached = {
+        p[0] for p in permutations(range(g.n))
+        if {frozenset((p[u], p[v])) for u, v in g.edges} == edges
+    }
+    return len(reached) == g.n
+
+
+def test_vertex_transitive_matches_every_permutation_up_to_five_vertices():
+    for n in range(1, 6):
+        for code in range(1 << n * (n - 1) // 2):
+            g = generate(f"graph_index({n},{code})")
+            assert is_vertex_transitive(g) == transitive_by_permutations(g), g.edges
+
+
+def test_equal_distance_rows_do_not_make_a_graph_vertex_transitive():
+    g = generate("graph_index(7,521465)")
+    rows = {tuple(sorted(row)) for row in all_pairs_distances(g).rows}
+    assert {g.degree(v) for v in range(g.n)} == {4} and len(rows) == 1
+    assert not is_vertex_transitive(g)
+
+
+def test_relabelled_sixteen_cycles_are_vertex_transitive():
+    assert all(is_vertex_transitive(g) for g in generate("cycle_family(16,4,1)").members)
 
 
 def test_family_twin_multiplicity():
