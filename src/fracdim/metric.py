@@ -265,14 +265,34 @@ def _isomorphic(g: Graph, h: Graph) -> bool:
 def is_vertex_transitive(g: Graph) -> bool:
     """Exact test for n <= _MAX_TRANSITIVITY_N: every vertex has the same
     sorted distance row, and vertex 0 maps onto each other vertex by an
-    automorphism (``_extend_isometry``)."""
+    automorphism (``_extend_isometry``).
+
+    The cycles of every automorphism found join a union-find, whose classes
+    are orbits of the group found so far; a target already joined to vertex
+    0 needs no search of its own.
+    """
     if g.n > _MAX_TRANSITIVITY_N:
         raise ValueError("instance too large for exact automorphism search "
                          f"(n={g.n} > {_MAX_TRANSITIVITY_N})")
     d = all_pairs_distances(g).rows
     if len({tuple(sorted(row)) for row in d}) > 1:
         return False
-    return all(_extend_isometry(d, d, [t]) for t in range(1, g.n))
+    parent = list(range(g.n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for t in range(1, g.n):
+        if find(t) == find(0):
+            continue
+        image = [t]
+        if not _extend_isometry(d, d, image):
+            return False
+        for p, w in enumerate(image):
+            parent[find(p)] = find(w)
+    return True
 
 
 def family_twin_multiplicity(family, u: int) -> int:

@@ -1,10 +1,12 @@
 """Closed-form dimension values, computed without touching the LP solver.
 
-These serve as the independent test oracle: structural classification of a
-graph (path, tree, cycle, wheel, bouquet, ...) picks the matching closed
-form, and family specs are matched by kind.  The one general-purpose tool
-used here is the exact vertex-transitivity test plus the minimum
-resolver-set size r(G), never a linear program.
+These serve as the independent test oracle.  A single graph is classified by
+its structure alone (complete, cycle with leaves, tree, wheel, bouquet, ...),
+and a single-graph spec only builds the graph, so a spec and any relabelled
+copy of its graph get the same answer.  Specs are matched by kind only for
+families.  The one general-purpose tool used here is the exact
+vertex-transitivity test plus the minimum resolver-set size r(G), never a
+linear program.
 """
 
 from __future__ import annotations
@@ -51,23 +53,6 @@ def _vertex_transitive(g: Graph) -> bool:
         raise NoClosedForm(str(exc)) from None
 
 
-def _is_path(g: Graph) -> bool:
-    if g.n == 1:
-        return True
-    if len(g.edges) != g.n - 1 or not is_connected(g):
-        return False
-    return max(g.degree(v) for v in range(g.n)) <= 2
-
-
-def _is_cycle(g: Graph) -> bool:
-    return (
-        g.n >= 3
-        and len(g.edges) == g.n
-        and all(g.degree(v) == 2 for v in range(g.n))
-        and is_connected(g)
-    )
-
-
 def _is_complete(g: Graph) -> bool:
     return len(g.edges) == g.n * (g.n - 1) // 2
 
@@ -93,14 +78,46 @@ def _induced(g: Graph, keep: list[int]) -> Graph:
     return Graph(len(keep), edges)
 
 
+def _leaf_counts(g: Graph) -> list[int] | None:
+    """Leaf count of each cycle vertex, in cycle order, if g is one cycle
+    (its vertices of degree >= 2) with leaves hung on it; else None.  O(n + m)."""
+    deg = [len(ns) for ns in g.adj]
+    ring = {v: [w for w in g.adj[v] if deg[w] >= 2] for v in range(g.n) if deg[v] >= 2}
+    if len(ring) < 3 or any(len(ns) != 2 for ns in ring.values()):
+        return None
+    start = min(ring)
+    order = [start, ring[start][0]]
+    while len(order) < len(ring):
+        a, b = ring[order[-1]]
+        order.append(b if a == order[-2] else a)
+    leaves = [deg[v] - 2 for v in order]
+    return leaves if len(set(order)) == len(ring) == g.n - sum(leaves) else None
+
+
+def _cycle_with_leaves(counts: list[int]) -> OracleValue:
+    """Closed form of a cycle whose i-th vertex carries counts[i] leaves."""
+    k, loaded = len(counts), [c for c in counts if c]
+    if not loaded:  # n/(n-1) for odd n, n/(n-2) for even n
+        return _val(Fraction(k, k - 2 + k % 2), "cycle closed form", "cycles")
+    if k == 3 and len(loaded) == 1:
+        return _val(Fraction(loaded[0] + 2, 2), "star-plus-edge closed form", "stars with one leaf edge")
+    # Four-cycle templates, with no two opposite vertices loaded: (c) one
+    # loaded vertex, h2 when it has one leaf; (d) two adjacent ones, one with
+    # a single leaf, h3 when both have one.  Both tables read
+    # max(2, (L + 2)/2) for the largest load L.
+    if k == 4 and not (counts[0] * counts[2] or counts[1] * counts[3]) and (len(loaded) == 1 or 1 in loaded):
+        value = max(Fraction(2), Fraction(max(loaded) + 2, 2))
+        return _val(value, "four-cycle-with-leaves own-dimension table", "four-cycle unicyclic templates (c), (d)")
+    raise NoClosedForm("no closed form for this cycle with leaves")
+
+
 def _is_wheel(g: Graph) -> bool:
-    if g.n < 4:
-        return False
-    hubs = [v for v in range(g.n) if g.degree(v) == g.n - 1]
-    for h in hubs:
-        if _is_cycle(_induced(g, [v for v in range(g.n) if v != h])):
-            return True
-    return False
+    """Some vertex of degree n - 1 leaves a bare cycle when removed."""
+    return any(
+        g.degree(h) == g.n - 1
+        and _leaf_counts(_induced(g, [v for v in range(g.n) if v != h])) == [0] * (g.n - 1)
+        for h in range(g.n)
+    )
 
 
 def _bouquet_size(g: Graph) -> int | None:
@@ -123,61 +140,22 @@ def _bouquet_size(g: Graph) -> int | None:
     return m
 
 
-def _is_kite(g: Graph) -> bool:
-    if g.n < 4 or len(g.edges) != g.n:
-        return False
-    degs = sorted(g.degree(v) for v in range(g.n))
-    return degs == [1] * (g.n - 3) + [2, 2, g.n - 1]
-
-
-def _dimf_by_kind(spec: FamilySpec) -> OracleValue | None:
-    """Kind-specific values that structural classification cannot recover."""
-    kind, params = spec.kind, spec.params
-    if kind == "h2":
-        return _val(2, "four-cycle plus pendant has dimension 2", "the 5-vertex cycle-with-pendant")
-    if kind == "h3":
-        return _val(2, "four-cycle with two adjacent pendants has dimension 2", "the 6-vertex double-pendant cycle")
-    if kind == "unicyclic_c" and len(params) == 1:
-        (a,) = params
-        v = Fraction(2) if a == 1 else Fraction(a + 2, 2)
-        return _val(v, "four-cycle-with-leaves own-dimension table", "four-cycle unicyclic template (c)")
-    if kind == "unicyclic_d" and len(params) == 2:
-        a, b = params
-        if a == 1 and b == 1:
-            return _val(2, "four-cycle with two adjacent pendants has dimension 2", "four-cycle unicyclic template (d)")
-        if min(a, b) == 1:
-            return _val(
-                Fraction(max(a, b), 2) + 1,
-                "four-cycle-with-adjacent-leaf-sets own-dimension table",
-                "four-cycle unicyclic template (d)",
-            )
-        return None
-    return None
-
-
 def oracle_dimf(obj: Graph | FamilySpec | str) -> OracleValue:
     """Closed-form fractional dimension of one graph, or NoClosedForm."""
-    if not isinstance(obj, Graph):
-        spec = parse_spec(obj) if isinstance(obj, str) else obj
-        direct = _dimf_by_kind(spec)
-        if direct is not None:
-            return direct
-        g = generate(spec)
-        if not isinstance(g, Graph):
-            raise NoClosedForm(f"{format_spec(spec)} is a family; see oracle_sdimf")
-        return oracle_dimf(g)
-    g = obj
+    g = obj if isinstance(obj, Graph) else generate(obj)
+    if not isinstance(g, Graph):
+        raise NoClosedForm(f"{obj} is a family; see oracle_sdimf")
     n = g.n
     if n < 2:
         raise NoClosedForm("dimension needs at least two vertices")
-    if _is_path(g):
-        return _val(1, "paths have dimension exactly 1", "paths")
     if _is_complete(g):
         return _val(Fraction(n, 2), "complete graphs reach the n/2 maximum", "complete graphs")
-    if _is_cycle(g):
-        if n % 2:
-            return _val(Fraction(n, n - 1), "odd cycle closed form n/(n-1)", "odd cycles")
-        return _val(Fraction(n, n - 2), "even cycle closed form n/(n-2)", "even cycles")
+    counts = _leaf_counts(g)
+    if counts is not None:
+        # A loaded cycle vertex is the one neighbour of its leaves, so it has
+        # no twin, and g is not regular: where the cycle tables have no
+        # value, no later rule has one either.
+        return _cycle_with_leaves(counts)
     if is_tree(g):
         p = tree_profile(g)
         return _val(
@@ -198,9 +176,6 @@ def oracle_dimf(obj: Graph | FamilySpec | str) -> OracleValue:
     m = _bouquet_size(g)
     if m is not None:
         return _val(m, "bouquet of m cycles has dimension m", "bouquets")
-    if _is_kite(g):
-        v = Fraction(3, 2) if n == 4 else Fraction(n - 1, 2)
-        return _val(v, "star-plus-edge closed form", "stars with one leaf edge")
     if has_fixed_point_free_twin_permutation(g):
         return _val(
             Fraction(n, 2),

@@ -290,6 +290,13 @@ def test_relabelled_sixteen_cycles_are_vertex_transitive():
     assert all(is_vertex_transitive(g) for g in generate("cycle_family(16,4,1)").members)
 
 
+def test_complements_of_relabelled_sixteen_cycles_are_vertex_transitive():
+    # Diameter 2, so distances prune the search no more than adjacency does;
+    # most targets are reached by the automorphisms already found.
+    members = generate("cycle_family(16,4,1)").members
+    assert all(is_vertex_transitive(complement(g)) for g in members)
+
+
 def test_family_twin_multiplicity():
     fig3 = generate("fig3")
     assert [family_twin_multiplicity(fig3, u) for u in range(5)] == [2, 2, 2, 2, 2]

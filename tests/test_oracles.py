@@ -1,12 +1,16 @@
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from fracdim.graph import Graph
+from fracdim.graph import Graph, is_connected
 from fracdim.dimension import fractional_dimension, simultaneous_fractional_dimension
-from fracdim.families import generate
+from fracdim.families import SplitMix64, generate, known_kinds, parse_spec
+from fracdim.metric import _isomorphic
 from fracdim.oracles import (
     NoClosedForm,
+    _leaf_counts,
     has_fixed_point_free_twin_permutation,
     oracle_dimf,
     oracle_sdimf,
@@ -29,11 +33,6 @@ def test_oracle_trees_via_profile():
     fam = generate("fig2")
     for g in fam.members:
         assert oracle_dimf(g).value == 2
-
-
-def test_oracle_is_independent_of_spec_vs_graph():
-    for spec in ("path(6)", "star(7)", "petersen", "bouquet(3,4)", "kite(6)"):
-        assert oracle_dimf(spec).value == oracle_dimf(generate(spec)).value
 
 
 def test_oracle_vertex_transitive_ratio():
@@ -139,3 +138,187 @@ def test_half_characterizations_sampled_above_exhaustive_range():
         assert (fractional_dimension(g).value == half) == predicted, (n, code)
         pair_value = simultaneous_fractional_dimension(with_complement(g)).value
         assert (pair_value == half) == predicted, (n, code)
+
+
+def _answer(obj):
+    try:
+        return oracle_dimf(obj).value
+    except NoClosedForm:
+        return None
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+_PAIRS = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
+# A few specs of every kind; a new kind must be added here.
+_SPECS_BY_KIND = {
+    "path": [f"path({n})" for n in range(2, 7)],
+    "cycle": [f"cycle({n})" for n in range(3, 9)],
+    "complete": [f"complete({n})" for n in range(2, 7)],
+    "star": [f"star({n})" for n in range(2, 8)],
+    "wheel": [f"wheel({n})" for n in range(4, 10)],
+    "petersen": ["petersen"],
+    "bouquet": ["bouquet(3,3)", "bouquet(3,4)", "bouquet(3,3,3)"],
+    "kite": [f"kite({n})" for n in range(4, 9)],
+    "unicyclic_a": [f"unicyclic_a({a},{b})" for a, b in _PAIRS],
+    "unicyclic_b": [f"unicyclic_b({a},{b})" for a, b in _PAIRS],
+    "unicyclic_c": [f"unicyclic_c({a})" for a in range(1, 6)],
+    "unicyclic_d": [f"unicyclic_d({a},{b})" for a, b in _PAIRS],
+    "h1": ["h1"],
+    "h2": ["h2"],
+    "h3": ["h3"],
+    "fig5_tree": ["fig5_tree(2)", "fig5_tree(3)"],
+    "circulant": ["circulant(7,1)", "circulant(8,1,2)", "circulant(9,1,3)", "circulant(10,1,4)"],
+    "graph_index": [f"graph_index(5,{c})" for c in (0, 7, 300, 1023)] + ["graph_index(6,12345)"],
+    "random_tree": [f"random_tree(9,{s})" for s in (1, 2, 3)],
+    "random_unicyclic": [f"random_unicyclic(7,{s})" for s in (1, 2, 3)],
+    "random_connected": [f"random_connected(7,50,{s})" for s in (1, 2, 3)],
+    "fig1a": ["fig1a"],
+    "fig1b": ["fig1b"],
+    "fig2": ["fig2"],
+    "fig3": ["fig3"],
+    "fig3_sub": ["fig3_sub"],
+    "path_family": ["path_family(5,rotations)"],
+    "star_family": ["star_family(5)"],
+    "remark_a_family": ["remark_a_family(4)"],
+    "remark_b_family": ["remark_b_family(4)"],
+    "cycle_family": ["cycle_family(6,2,1)"],
+    "petersen_family": ["petersen_family(2,1)"],
+    "circulant_family": ["circulant_family(8,2,1)"],
+    "twin_cycle_family": ["twin_cycle_family(6)"],
+    "family_of": ["family_of(path(4),cycle(4))"],
+    "random_family": ["random_family(6,2,1)"],
+    "with_complement": ["with_complement(path(4))"],
+}
+
+
+def test_oracle_is_independent_of_spec_vs_graph():
+    # A single-graph spec, its graph and relabelled copies: the same value,
+    # or NoClosedForm for all.  A family spec has no own dimension.
+    assert sorted(_SPECS_BY_KIND) == sorted(known_kinds())
+    rng = SplitMix64(2718)
+    single, answered = set(), set()
+    for kind, specs in _SPECS_BY_KIND.items():
+        for spec in specs:
+            g = generate(spec)
+            if not isinstance(g, Graph):
+                assert _answer(spec) is None, spec
+                continue
+            expected = _answer(spec)
+            assert _answer(g) == expected, spec
+            for _ in range(3):
+                assert _answer(_relabelled(g, rng)) == expected, spec
+            single.add(kind)
+            if expected is not None:
+                answered.add(kind)
+    assert single - answered == {"random_connected", "random_unicyclic", "unicyclic_a", "unicyclic_b"}
+
+
+# The structural predicates and the kind table that the leaf counts
+# replaced, kept as the reference for them.
+def _is_path(g):
+    if g.n == 1:
+        return True
+    if len(g.edges) != g.n - 1 or not is_connected(g):
+        return False
+    return max(g.degree(v) for v in range(g.n)) <= 2
+
+
+def _is_cycle(g):
+    return (
+        g.n >= 3
+        and len(g.edges) == g.n
+        and all(g.degree(v) == 2 for v in range(g.n))
+        and is_connected(g)
+    )
+
+
+def _is_kite(g):
+    if g.n < 4 or len(g.edges) != g.n:
+        return False
+    degs = sorted(g.degree(v) for v in range(g.n))
+    return degs == [1] * (g.n - 3) + [2, 2, g.n - 1]
+
+
+def _dimf_by_kind(spec):
+    kind, params = spec.kind, spec.params
+    if kind in ("h2", "h3"):
+        return Fraction(2)
+    if kind == "unicyclic_c" and len(params) == 1:
+        (a,) = params
+        return Fraction(2) if a == 1 else Fraction(a + 2, 2)
+    if kind == "unicyclic_d" and len(params) == 2:
+        a, b = params
+        if a == 1 and b == 1:
+            return Fraction(2)
+        if min(a, b) == 1:
+            return Fraction(max(a, b), 2) + 1
+    return None
+
+
+def _reference(g, templates):
+    """(recognised, value); the value is None for a shape without a closed form."""
+    n = g.n
+    if _is_path(g):
+        return True, Fraction(1)
+    if _is_cycle(g):
+        return True, Fraction(n, n - 1) if n % 2 else Fraction(n, n - 2)
+    if _is_kite(g):
+        return True, Fraction(3, 2) if n == 4 else Fraction(n - 1, 2)
+    if len(g.edges) == n and is_connected(g):
+        for spec, h in templates:
+            if _isomorphic(g, h):
+                return True, _dimf_by_kind(spec)
+    return False, None
+
+
+def test_leaf_counts_agree_with_the_deleted_predicates_on_every_small_graph():
+    # Every labelled graph on 2..6 vertices that the reference recognises, or
+    # that is a cycle with leaves, gets the reference's answer.
+    names = ("h2", "h3", "unicyclic_c(2)")
+    templates = [(parse_spec(name), generate(name)) for name in names]
+    checked = recognised_count = 0
+    for n in range(2, 7):
+        pairs = list(combinations(range(n), 2))
+        for code in range(1 << len(pairs)):
+            g = Graph(n, [p for i, p in enumerate(pairs) if code >> i & 1])
+            recognised, expected = _reference(g, templates)
+            if recognised or _leaf_counts(g) is not None:
+                assert _answer(g) == expected, (n, g.edges)
+                checked += 1
+                recognised_count += recognised
+    # 436 paths, 76 cycles, 102 kites, 60 copies of h2, 360 of h3 and 180
+    # of unicyclic_c(2); 1080 other cycles with leaves, none with a value.
+    assert (recognised_count, checked) == (1214, 2294)
+
+
+def test_the_kind_table_holds_on_relabelled_templates():
+    rng = SplitMix64(31415)
+    specs = ["h2", "h3"] + [f"unicyclic_c({a})" for a in range(1, 7)]
+    specs += [f"unicyclic_d({a},{b})" for a in range(1, 5) for b in range(1, 5)]
+    for spec in specs:
+        g = _relabelled(generate(spec), rng)
+        assert _answer(g) == _dimf_by_kind(parse_spec(spec)), spec
+
+
+@pytest.mark.parametrize("g", [
+    Graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (2, 5)]),  # opposite leaves
+    generate("unicyclic_d(2,2)"),
+    Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5)]),  # C5 plus a pendant
+], ids=["four-cycle, opposite leaves", "unicyclic_d(2,2)", "five-cycle, one pendant"])
+def test_cycles_with_leaves_outside_the_tables_have_no_closed_form(g):
+    assert _leaf_counts(g) is not None
+    with pytest.raises(NoClosedForm):
+        oracle_dimf(g)
+
+
+@pytest.mark.parametrize("spec, value", [("kite(12)", Fraction(11, 2)), ("wheel(24)", Fraction(23, 4))])
+def test_relabelled_kites_and_wheels_classify_at_once(spec, value):
+    g = _relabelled(generate(spec), SplitMix64(99))
+    start = time.perf_counter()
+    assert oracle_dimf(g).value == value
+    assert time.perf_counter() - start < 1.0
