@@ -1,14 +1,14 @@
-"""Simple undirected graphs with exact BFS distances.
+"""Simple undirected graphs and their distances.
 
 Vertices are dense integers 0..n-1.  Graphs are immutable after
 construction and safe to share; every operation here is a pure function.
-Unreachable vertex pairs get the distance ``INF``, which compares equal
-only to itself and greater than every finite distance.
+Every distance comes from one source, the bitmask ball layers of
+``_ball_layers``.  Unreachable vertex pairs get the distance ``INF``, which
+compares equal only to itself and greater than every finite distance.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -168,37 +168,55 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, edges)
 
 
-def bfs_distances(g: Graph, source: int) -> list[float]:
-    dist: list[float] = [INF] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w in g.adj[u]:
-            if dist[w] == INF:
-                dist[w] = du + 1
-                queue.append(w)
-    return dist
+def _ball_layers(g: Graph) -> tuple[list[list[int]], list[int]]:
+    """Each vertex's distance layers and final ball, as bitmasks: bit z of
+    ``layers[x][d - 1]`` is set iff d(x, z) = d, and ``balls[x]`` holds every
+    vertex in reach of x.
+
+    The balls B_x(d + 1) = B_x(d) | OR of B_u(d), u ~ x, grow while they
+    can.  Nothing is cached per graph; a caller keeps what it needs.
+    """
+    n, adj = g.n, g.adj
+    balls = [1 << x for x in range(n)]
+    layers: list[list[int]] = [[] for _ in range(n)]
+    growing = range(n)
+    while growing:
+        prev, grew = balls[:], []
+        for x in growing:
+            b = prev[x]
+            for u in adj[x]:
+                b |= prev[u]
+            if b != prev[x]:
+                layers[x].append(b ^ prev[x])
+                balls[x] = b
+                grew.append(x)
+        growing = grew
+    return layers, balls
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex; symmetric with zero diagonal."""
-    return DistanceMatrix(g.n, tuple(tuple(bfs_distances(g, s)) for s in range(g.n)))
+    """d(x, z) is the d whose ball layer holds z (0 for z = x), or INF."""
+    rows = []
+    for x, layers in enumerate(_ball_layers(g)[0]):
+        row: list[float] = [INF] * g.n
+        for d, layer in enumerate([1 << x, *layers]):
+            while layer:
+                row[(layer & -layer).bit_length() - 1] = d
+                layer &= layer - 1
+        rows.append(tuple(row))
+    return DistanceMatrix(g.n, tuple(rows))
 
 
 def diameter(g: Graph) -> float:
-    """Largest distance over all pairs; INF iff disconnected.  Needs n >= 2."""
+    """Most ball layers of any vertex, or INF iff disconnected.  Needs n >= 2."""
     if g.n < 2:
         raise GraphError("diameter needs at least two vertices (no pair exists)")
-    dm = all_pairs_distances(g)
-    return max(dm.rows[i][j] for i in range(g.n) for j in range(i + 1, g.n))
+    layers, balls = _ball_layers(g)
+    return max(map(len, layers)) if balls[0] == (1 << g.n) - 1 else INF
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 1:
-        return True
-    return INF not in bfs_distances(g, 0)
+    return _ball_layers(g)[1][0] == (1 << g.n) - 1
 
 
 def is_tree(g: Graph) -> bool:

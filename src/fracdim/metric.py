@@ -16,7 +16,7 @@ from itertools import combinations
 from operator import mul
 from typing import Iterator, Sequence
 
-from .graph import Graph, DistanceMatrix, all_pairs_distances, is_tree
+from .graph import Graph, DistanceMatrix, _ball_layers, all_pairs_distances, is_tree
 from .lp import _bits, _minimal_masks, reduce_sets
 
 
@@ -81,25 +81,12 @@ def _distance_rows(g: Graph) -> tuple[list[int], int]:
     """Bit-sliced distance rows, bit i of d(x, z) at bit i*n + z of row x, and
     their lane count: the least power of two that holds every distance code.
 
-    Unreachable vertices get the code n, which no distance has.  The balls
-    B_x(d + 1) = B_x(d) | OR of B_u(d), u ~ x, grow while they can, and row x
-    sums its layers L_x(d) times spread(d), the sum of 1 << i*n over bits i of d.
+    Unreachable vertices get the code n, which no distance has.  Row x sums
+    its ball layers L_x(d) (``graph._ball_layers``) times spread(d), the sum
+    of 1 << i*n over bits i of d.
     """
-    n, adj = g.n, g.adj
-    balls = [1 << x for x in range(n)]
-    layers: list[list[int]] = [[] for _ in range(n)]  # layers[x][d - 1]
-    growing = range(n)
-    while growing:
-        prev, grew = balls[:], []
-        for x in growing:
-            b = prev[x]
-            for u in adj[x]:
-                b |= prev[u]
-            if b != prev[x]:
-                layers[x].append(b ^ prev[x])
-                balls[x] = b
-                grew.append(x)
-        growing = grew
+    n = g.n
+    layers, balls = _ball_layers(g)
     full = (1 << n) - 1
     top = n if any(b != full for b in balls) else max(map(len, layers))
     lanes = 1 << (top.bit_length() - 1).bit_length()

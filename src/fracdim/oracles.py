@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import Graph, is_connected, is_tree
+from .graph import Graph, _ball_layers, is_connected, is_tree
 from .metric import is_vertex_transitive, r_of, tree_profile, twin_partition
 from .families import FamilySpec, format_spec, generate, parse_spec
 
@@ -58,16 +58,9 @@ def _is_complete(g: Graph) -> bool:
 
 
 def _is_petersen(g: Graph) -> bool:
-    # The unique strongly regular (10, 3, 0, 1) graph.
-    if g.n != 10 or any(g.degree(v) != 3 for v in range(10)):
-        return False
-    nbr = [set(g.adj[v]) for v in range(10)]
-    for u in range(10):
-        for v in range(u + 1, 10):
-            common = len(nbr[u] & nbr[v])
-            if common != (0 if g.has_edge(u, v) else 1):
-                return False
-    return True
+    # Ten vertices, each with 3 at distance 1 and 6 at distance 2: the unique
+    # Moore graph of degree 3 and diameter 2 (Hoffman and Singleton 1960).
+    return g.n == 10 and all(list(map(int.bit_count, ls)) == [3, 6] for ls in _ball_layers(g)[0])
 
 
 def _induced(g: Graph, keep: list[int]) -> Graph:
@@ -121,23 +114,16 @@ def _is_wheel(g: Graph) -> bool:
 
 
 def _bouquet_size(g: Graph) -> int | None:
-    """Number of cycles if g is a bouquet glued at one cut-vertex, else None."""
-    if not is_connected(g):
-        return None
+    """Number of cycles if g is a bouquet glued at one cut-vertex, else None.
+
+    A connected graph with m = |E| - n + 1 >= 2 and degrees 2m once, 2 elsewhere
+    is one: without the centre, its 2m neighbours have degree 1, the rest 2,
+    and no cycle is cut off, so m paths each close a cycle through the centre.
+    """
     m = len(g.edges) - g.n + 1
-    if m < 2:
+    if m < 2 or sorted(map(len, g.adj)) != [2] * (g.n - 1) + [2 * m]:
         return None
-    centers = [v for v in range(g.n) if g.degree(v) == 2 * m]
-    if len(centers) != 1 or any(
-        g.degree(v) != 2 for v in range(g.n) if v != centers[0]
-    ):
-        return None
-    rest = _induced(g, [v for v in range(g.n) if v != centers[0]])
-    if len(rest.edges) != rest.n - m:
-        return None
-    if any(rest.degree(v) > 2 for v in range(rest.n)):
-        return None
-    return m
+    return m if is_connected(g) else None
 
 
 def oracle_dimf(obj: Graph | FamilySpec | str) -> OracleValue:
@@ -245,11 +231,11 @@ def _sdimf_complement_pair(inner: FamilySpec) -> OracleValue:
     raise NoClosedForm(f"no closed form for with_complement({format_spec(inner)})")
 
 
-
 def oracle_sdimf(spec: FamilySpec | str) -> OracleValue:
-    """Closed-form simultaneous fractional dimension of a family spec."""
+    """Closed-form Sd_f of a family spec; one the generator rejects raises its ValueError."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
+    fam = generate(spec)
     kind, params = spec.kind, spec.params
     if kind == "path_family":
         n, mode = params
@@ -264,7 +250,6 @@ def oracle_sdimf(spec: FamilySpec | str) -> OracleValue:
     if kind == "petersen_family":
         return _val(Fraction(5, 3), "Petersen families keep the member value", "Petersen families")
     if kind == "circulant_family":
-        fam = generate(spec)
         best = Fraction(0)
         for g in fam.members:
             if not _vertex_transitive(g):
@@ -290,8 +275,5 @@ def oracle_sdimf(spec: FamilySpec | str) -> OracleValue:
     if kind == "fig3_sub":
         return _val(2, "three-member subfamily value 2", "the fixed five-vertex subfamily")
     if kind == "with_complement":
-        inner = params[0]
-        if not isinstance(inner, FamilySpec):
-            raise NoClosedForm("with_complement needs a nested spec")
-        return _sdimf_complement_pair(inner)
+        return _sdimf_complement_pair(params[0])
     raise NoClosedForm(f"no closed form known for {format_spec(spec)}")

@@ -194,8 +194,10 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
 
 def test_sdimf_bounds_builds_each_member_system_once(monkeypatch, capsys):
     import fracdim.dimension
+    import fracdim.graph
     import fracdim.lp
     import fracdim.metric
+    import fracdim.oracles
 
     calls = {}
 
@@ -206,8 +208,10 @@ def test_sdimf_bounds_builds_each_member_system_once(monkeypatch, capsys):
         return wrapped
 
     fam = generate("star_family(6)")
-    monkeypatch.setattr(fracdim.metric, "_distance_rows",
-                        counting("distances", fracdim.metric._distance_rows))
+    # Every module that imports the distance engine counts into one key.
+    engine = counting("distances", fracdim.graph._ball_layers)
+    for module in (fracdim.graph, fracdim.metric, fracdim.oracles):
+        monkeypatch.setattr(module, "_ball_layers", engine)
     monkeypatch.setattr(fracdim.dimension, "solve_covering_lp",
                         counting("dimension_lp", fracdim.dimension.solve_covering_lp))
     monkeypatch.setattr(fracdim.dimension, "joint_cover_sets",

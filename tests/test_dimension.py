@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracdim.graph import Graph, all_pairs_distances, complement
+from fracdim.graph import Graph, complement
 from fracdim.lp import CoveringLp, LpSolution, verify_solution
 from fracdim.metric import constraint_system, resolving_constraint
 from fracdim.dimension import (
@@ -17,6 +17,7 @@ from fracdim.dimension import (
     simultaneous_fractional_dimension,
 )
 from fracdim.families import generate
+from test_graph import bfs_matrix
 
 
 def sdf(spec):
@@ -188,7 +189,7 @@ def reference_system(members):
     then the first occurrence of each distinct set with no proper subset."""
     pool = []
     for g in members:
-        dm = all_pairs_distances(g)
+        dm = bfs_matrix(g)
         pool += [
             ((x, y), resolving_constraint(dm, x, y).members)
             for x, y in combinations(range(g.n), 2)
@@ -207,7 +208,7 @@ def test_mask_pipeline_matches_per_pair_definition(members):
     g = members[0]
     reduced = constraint_system(g, reduce=True)
     assert [(c.pair, c.members) for c in reduced] == reference_system([g])
-    dm = all_pairs_distances(g)
+    dm = bfs_matrix(g)
     assert constraint_system(g, reduce=False) == [
         resolving_constraint(dm, x, y) for x, y in combinations(range(g.n), 2)
     ]

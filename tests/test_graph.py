@@ -1,8 +1,12 @@
+from collections import deque
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracdim.graph import (
     INF,
+    DistanceMatrix,
     Graph,
     GraphError,
     ParseError,
@@ -114,6 +118,46 @@ def test_diameter():
     assert diameter(Graph(4, [(0, 1), (2, 3)])) == INF
     with pytest.raises(GraphError):
         diameter(Graph(1, []))
+
+
+def bfs_distances(g, source):
+    """Breadth-first search from one vertex: the reference for every distance
+    the ball layers give."""
+    dist = [INF] * g.n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in g.adj[u]:
+            if dist[w] == INF:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def bfs_matrix(g):
+    """The distance table of one BFS per vertex."""
+    return DistanceMatrix(g.n, tuple(tuple(bfs_distances(g, s)) for s in range(g.n)))
+
+
+def assert_distances_match_bfs(g):
+    """all_pairs_distances, is_connected and diameter against the BFS table."""
+    want = bfs_matrix(g)
+    assert all_pairs_distances(g) == want, g
+    assert is_connected(g) == (INF not in want[0]), g
+    if g.n >= 2:
+        assert diameter(g) == max(map(max, want.rows)), g
+
+
+def test_distances_match_bfs_on_every_small_graph():
+    # Every labelled graph with n <= 6, disconnected ones included.
+    count = 0
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        for code in range(1 << len(pairs)):
+            assert_distances_match_bfs(Graph(n, [p for i, p in enumerate(pairs) if code >> i & 1]))
+            count += 1
+    assert count == 33867
 
 
 def test_is_tree():

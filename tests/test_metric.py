@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracdim.graph import Graph, all_pairs_distances, complement, diameter, is_connected
+from fracdim.graph import Graph, complement, diameter, is_connected
 from fracdim.lp import _minimal_masks
 from fracdim.metric import (
     MajorVertex,
@@ -20,10 +20,11 @@ from fracdim.metric import (
 )
 from fracdim.dimension import GraphFamily, _member_masks, _minimal_union
 from fracdim.families import generate
+from test_graph import assert_distances_match_bfs, bfs_matrix
 
 
 def members_of(g, x, y):
-    return resolving_constraint(all_pairs_distances(g), x, y).members
+    return resolving_constraint(bfs_matrix(g), x, y).members
 
 
 def test_twin_pair_resolves_only_itself():
@@ -45,7 +46,7 @@ def test_disconnected_pair_uses_inf_convention():
 
 def test_same_vertex_rejected():
     with pytest.raises(ValueError):
-        resolving_constraint(all_pairs_distances(generate("path(3)")), 1, 1)
+        resolving_constraint(bfs_matrix(generate("path(3)")), 1, 1)
 
 
 def lane_boundary_graphs(n):
@@ -62,8 +63,10 @@ def lane_boundary_graphs(n):
 def test_resolver_masks_match_definition_at_lane_boundaries(n):
     # Across these n the distance codes (n for unreachable) need 1, 2, 4
     # and 8 lanes of n bits, and a lane is wider than 64 bits from n = 65.
+    # The expected masks come from BFS, not from the ball layers under test.
     for g in lane_boundary_graphs(n):
-        dm = all_pairs_distances(g)
+        assert_distances_match_bfs(g)
+        dm = bfs_matrix(g)
         want = [
             sum(1 << z for z in resolving_constraint(dm, x, y).members)
             for x in range(n)
@@ -102,7 +105,7 @@ def test_minimal_resolvers_match_the_every_pair_reference():
 
 def colour_classes(g):
     """Sizes of the two colour classes of a connected bipartite graph."""
-    odd = sum(d % 2 for d in all_pairs_distances(g)[0])
+    odd = sum(d % 2 for d in bfs_matrix(g)[0])
     return g.n - odd, odd
 
 
@@ -226,7 +229,7 @@ def nearest_major_profile(g):
     majors = [v for v in range(g.n) if g.degree(v) >= 3]
     terminal = {v: [] for v in majors}
     if majors:
-        dm = all_pairs_distances(g)
+        dm = bfs_matrix(g)
         for leaf in ends:
             dists = sorted((dm[leaf][v], v) for v in majors)
             if len(dists) == 1 or dists[0][0] < dists[1][0]:
@@ -281,7 +284,7 @@ def test_vertex_transitive_matches_every_permutation_up_to_five_vertices():
 
 def test_equal_distance_rows_do_not_make_a_graph_vertex_transitive():
     g = generate("graph_index(7,521465)")
-    rows = {tuple(sorted(row)) for row in all_pairs_distances(g).rows}
+    rows = {tuple(sorted(row)) for row in bfs_matrix(g).rows}
     assert {g.degree(v) for v in range(g.n)} == {4} and len(rows) == 1
     assert not is_vertex_transitive(g)
 
@@ -327,7 +330,7 @@ def graphs(max_n=8, connected_only=False):
 @given(graphs())
 @settings(max_examples=120, deadline=None)
 def test_members_always_contain_the_pair(g):
-    dm = all_pairs_distances(g)
+    dm = bfs_matrix(g)
     for x in range(g.n):
         for y in range(x + 1, g.n):
             members = resolving_constraint(dm, x, y).members
@@ -338,7 +341,7 @@ def test_members_always_contain_the_pair(g):
 @given(graphs(connected_only=True))
 @settings(max_examples=100, deadline=None)
 def test_twins_iff_pair_resolves_only_itself(g):
-    dm = all_pairs_distances(g)
+    dm = bfs_matrix(g)
     tp = twin_partition(g)
     for x in range(g.n):
         for y in range(x + 1, g.n):
@@ -349,8 +352,8 @@ def test_twins_iff_pair_resolves_only_itself(g):
 @given(graphs())
 @settings(max_examples=100, deadline=None)
 def test_twin_pairs_resolve_identically_in_complement(g):
-    dm = all_pairs_distances(g)
-    dmc = all_pairs_distances(complement(g))
+    dm = bfs_matrix(g)
+    dmc = bfs_matrix(complement(g))
     tp = twin_partition(g)
     for cls in tp.nontrivial():
         for i, x in enumerate(cls):
@@ -365,8 +368,8 @@ def test_twin_pairs_resolve_identically_in_complement(g):
 def test_diameter_two_resolvers_carry_to_complement(g):
     if diameter(g) != 2:
         return
-    dm = all_pairs_distances(g)
-    dmc = all_pairs_distances(complement(g))
+    dm = bfs_matrix(g)
+    dmc = bfs_matrix(complement(g))
     for x in range(g.n):
         for y in range(x + 1, g.n):
             assert (

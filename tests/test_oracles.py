@@ -10,6 +10,9 @@ from fracdim.families import SplitMix64, generate, known_kinds, parse_spec
 from fracdim.metric import _isomorphic
 from fracdim.oracles import (
     NoClosedForm,
+    _bouquet_size,
+    _induced,
+    _is_petersen,
     _leaf_counts,
     has_fixed_point_free_twin_permutation,
     oracle_dimf,
@@ -103,6 +106,19 @@ def test_oracle_sdimf_agrees_with_engine():
         expected = oracle_sdimf(spec).value
         actual = simultaneous_fractional_dimension(generate(spec)).value
         assert expected == actual, spec
+
+
+@pytest.mark.parametrize("spec", [
+    "star_family(2)", "cycle_family(4,0,1)", "petersen_family(0,1)", "fig1a(3)",
+    "twin_cycle_family(1)", "with_complement(cycle(2))", "cycle_family(2,1,1)",
+    "path_family(5,3)",
+])
+def test_oracle_sdimf_rejects_the_specs_the_generator_rejects(spec):
+    with pytest.raises(ValueError) as built:
+        generate(spec)
+    with pytest.raises(ValueError) as answered:
+        oracle_sdimf(spec)
+    assert str(answered.value) == str(built.value)
 
 
 def test_fixed_point_free_twin_permutation():
@@ -322,3 +338,80 @@ def test_relabelled_kites_and_wheels_classify_at_once(spec, value):
     start = time.perf_counter()
     assert oracle_dimf(g).value == value
     assert time.perf_counter() - start < 1.0
+
+
+# The predicates the ball layers and the degree multiset replaced, kept as
+# the reference for them.
+def _is_strongly_regular_10_3_0_1(g):
+    if g.n != 10 or any(g.degree(v) != 3 for v in range(10)):
+        return False
+    nbr = [set(g.adj[v]) for v in range(10)]
+    for u in range(10):
+        for v in range(u + 1, 10):
+            common = len(nbr[u] & nbr[v])
+            if common != (0 if g.has_edge(u, v) else 1):
+                return False
+    return True
+
+
+def _bouquet_size_by_removal(g):
+    if not is_connected(g):
+        return None
+    m = len(g.edges) - g.n + 1
+    if m < 2:
+        return None
+    centers = [v for v in range(g.n) if g.degree(v) == 2 * m]
+    if len(centers) != 1 or any(g.degree(v) != 2 for v in range(g.n) if v != centers[0]):
+        return None
+    rest = _induced(g, [v for v in range(g.n) if v != centers[0]])
+    if len(rest.edges) != rest.n - m or any(rest.degree(v) > 2 for v in range(rest.n)):
+        return None
+    return m
+
+
+def _cubic_graphs(rng, tries):
+    """Simple cubic graphs on 10 vertices: 30 vertex ends paired at random,
+    with loops and double edges rejected."""
+    for _ in range(tries):
+        ends = [v for v in range(10) for _ in range(3)]
+        rng.shuffle(ends)
+        edges = {(min(pair), max(pair)) for pair in zip(ends[::2], ends[1::2])}
+        if len(edges) == 15 and all(u != v for u, v in edges):
+            yield Graph(10, edges)
+
+
+def test_petersen_by_layer_sizes_matches_the_strongly_regular_definition():
+    rng = SplitMix64(1960)
+    petersen = generate("petersen")
+    graphs = [_relabelled(petersen, rng) for _ in range(50)] + list(_cubic_graphs(rng, 20000))
+    found = 0
+    for g in graphs:
+        assert _is_petersen(g) == _is_strongly_regular_10_3_0_1(g), g.edges
+        found += _is_petersen(g)
+    # 2209 cubic graphs, 5 of them copies of the Petersen graph.
+    assert (len(graphs), found) == (50 + 2209, 50 + 5)
+    assert not _is_petersen(generate("circulant(10,1,5)"))  # cubic, diameter 3
+
+
+def test_bouquet_by_degrees_matches_the_removal_test():
+    count = bouquets = 0
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        for code in range(1 << len(pairs)):
+            if code.bit_count() < n + 1:
+                continue
+            g = Graph(n, [p for i, p in enumerate(pairs) if code >> i & 1])
+            assert _bouquet_size(g) == _bouquet_size_by_removal(g), g.edges
+            count += 1
+            bouquets += _bouquet_size(g) is not None
+    # Every labelled graph with n <= 6 and at least n + 1 edges.
+    assert (count, bouquets) == (23212, 195)
+    # The smallest graph with a bouquet's degrees that is not connected: two
+    # triangles at vertex 0, and a third triangle apart.
+    apart = Graph(8, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4), (5, 6), (6, 7), (5, 7)])
+    assert _bouquet_size(apart) is _bouquet_size_by_removal(apart) is None
+    rng = SplitMix64(2)
+    for spec in ["bouquet(3,3)", "bouquet(3,4,5)", "bouquet(3,3,3,3)", "bouquet(6,4)"]:
+        for _ in range(5):
+            g = _relabelled(generate(spec), rng)
+            assert _bouquet_size(g) == _bouquet_size_by_removal(g) == spec.count(",") + 1, spec
