@@ -189,10 +189,10 @@ def _cmd_verify(args) -> int:
     if names == ["all"]:
         names = list(SUITE_ORDER)
     for name in names:
+        if name == "all":
+            raise ValueError("suite 'all' must stand alone")
         if name not in SUITE_ORDER:
-            print(f"unknown suite {name!r}; known: {', '.join(SUITE_ORDER)} or all",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_ORDER)}, or all alone")
     budget = Budget.parse(args.budget)
     reports = [run_suite(name, budget) for name in names]
     if args.json:

@@ -401,8 +401,9 @@ def circulant_family(n: int, k: int, seed: int) -> GraphFamily:
 def twin_cycle_family(n: int) -> GraphFamily:
     """n trees on n vertices; member i makes {i, i+1 mod n} a twin leaf pair.
 
-    Every vertex lands in a nontrivial twin class of exactly two members, so
-    the constant-multiplicity lower bound forces the n/2 optimum.
+    For n != 4 every vertex lands in a nontrivial twin class of exactly two
+    members, so the constant-multiplicity lower bound forces the n/2 optimum.
+    At n = 4 every member is a star K_{1,3}, with multiplicities 2, 3, 3, 4.
     """
     if n < 3:
         raise ValueError("twin_cycle_family needs n >= 3")

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
+from .lp import _bits
+
 INF: float = float("inf")
 
 
@@ -52,9 +54,6 @@ class Graph:
             nbr[u].append(v)
             nbr[v].append(u)
         return tuple(tuple(sorted(ns)) for ns in nbr)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -216,7 +215,15 @@ def diameter(g: Graph) -> float:
 
 
 def is_connected(g: Graph) -> bool:
-    return _ball_layers(g)[1][0] == (1 << g.n) - 1
+    """Vertex 0's ball, grown alone one layer at a time, reaches every vertex."""
+    adj, ball, layer = g.adj, 1, 1
+    while layer:
+        grown = ball
+        for u in _bits(layer):
+            for w in adj[u]:
+                grown |= 1 << w
+        ball, layer = grown, grown ^ ball
+    return ball == (1 << g.n) - 1
 
 
 def is_tree(g: Graph) -> bool:

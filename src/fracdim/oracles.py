@@ -3,16 +3,18 @@
 These serve as the independent test oracle.  A single graph is classified by
 its structure alone (complete, cycle with leaves, tree, wheel, bouquet, ...),
 and a single-graph spec only builds the graph, so a spec and any relabelled
-copy of its graph get the same answer.  Specs are matched by kind only for
-families.  The one general-purpose tool used here is the exact
-vertex-transitivity test plus the minimum resolver-set size r(G), never a
-linear program.
+copy of its graph get the same answer.  A family is answered from its
+members where a theorem allows it: vertex-transitive members (Prop 7) and a
+constant twin multiplicity.  Its other values are matched by spec kind.  The
+one general-purpose tool used here is the exact vertex-transitivity test
+plus the minimum resolver-set size r(G), never a linear program.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .graph import Graph, _ball_layers, is_connected, is_tree
 from .metric import is_vertex_transitive, r_of, tree_profile, twin_partition
@@ -26,12 +28,10 @@ class NoClosedForm(LookupError):
 @dataclass(frozen=True)
 class OracleValue:
     value: Fraction
-    source: str
-    applicability: str
 
 
-def _val(value, source: str, applicability: str) -> OracleValue:
-    return OracleValue(Fraction(value), source, applicability)
+def _val(value) -> OracleValue:
+    return OracleValue(Fraction(value))
 
 
 def has_fixed_point_free_twin_permutation(g: Graph) -> bool:
@@ -91,16 +91,15 @@ def _cycle_with_leaves(counts: list[int]) -> OracleValue:
     """Closed form of a cycle whose i-th vertex carries counts[i] leaves."""
     k, loaded = len(counts), [c for c in counts if c]
     if not loaded:  # n/(n-1) for odd n, n/(n-2) for even n
-        return _val(Fraction(k, k - 2 + k % 2), "cycle closed form", "cycles")
-    if k == 3 and len(loaded) == 1:
-        return _val(Fraction(loaded[0] + 2, 2), "star-plus-edge closed form", "stars with one leaf edge")
+        return _val(Fraction(k, k - 2 + k % 2))
+    if k == 3 and len(loaded) == 1:  # a star plus one edge between two leaves
+        return _val(Fraction(loaded[0] + 2, 2))
     # Four-cycle templates, with no two opposite vertices loaded: (c) one
     # loaded vertex, h2 when it has one leaf; (d) two adjacent ones, one with
     # a single leaf, h3 when both have one.  Both tables read
     # max(2, (L + 2)/2) for the largest load L.
     if k == 4 and not (counts[0] * counts[2] or counts[1] * counts[3]) and (len(loaded) == 1 or 1 in loaded):
-        value = max(Fraction(2), Fraction(max(loaded) + 2, 2))
-        return _val(value, "four-cycle-with-leaves own-dimension table", "four-cycle unicyclic templates (c), (d)")
+        return _val(max(Fraction(2), Fraction(max(loaded) + 2, 2)))
     raise NoClosedForm("no closed form for this cycle with leaves")
 
 
@@ -135,7 +134,7 @@ def oracle_dimf(obj: Graph | FamilySpec | str) -> OracleValue:
     if n < 2:
         raise NoClosedForm("dimension needs at least two vertices")
     if _is_complete(g):
-        return _val(Fraction(n, 2), "complete graphs reach the n/2 maximum", "complete graphs")
+        return _val(Fraction(n, 2))
     counts = _leaf_counts(g)
     if counts is not None:
         # A loaded cycle vertex is the one neighbour of its leaves, so it has
@@ -144,36 +143,18 @@ def oracle_dimf(obj: Graph | FamilySpec | str) -> OracleValue:
         return _cycle_with_leaves(counts)
     if is_tree(g):
         p = tree_profile(g)
-        return _val(
-            Fraction(p.sigma - p.ex1, 2),
-            "tree closed form (sigma - ex1)/2",
-            "trees",
-        )
+        return _val(Fraction(p.sigma - p.ex1, 2))
     if _is_petersen(g):
-        return _val(Fraction(5, 3), "Petersen graph value 5/3", "the Petersen graph")
+        return _val(Fraction(5, 3))
     if _is_wheel(g):
-        if n <= 5:
-            v = Fraction(2)
-        elif n == 6:
-            v = Fraction(3, 2)
-        else:
-            v = Fraction(n - 1, 4)
-        return _val(v, "wheel piecewise closed form", "wheels K_1 + C_{n-1}")
+        return _val(2 if n <= 5 else Fraction(3, 2) if n == 6 else Fraction(n - 1, 4))
     m = _bouquet_size(g)
-    if m is not None:
-        return _val(m, "bouquet of m cycles has dimension m", "bouquets")
+    if m is not None:  # a bouquet of m cycles has dimension m
+        return _val(m)
     if has_fixed_point_free_twin_permutation(g):
-        return _val(
-            Fraction(n, 2),
-            "all twin classes nontrivial forces n/2",
-            "graphs whose twin classes all have size >= 2",
-        )
+        return _val(Fraction(n, 2))
     if is_connected(g) and _vertex_transitive(g):
-        return _val(
-            Fraction(n, r_of(g)),
-            "vertex-transitive ratio |V|/r",
-            "vertex-transitive graphs",
-        )
+        return _val(Fraction(n, r_of(g)))
     raise NoClosedForm("no closed form known")
 
 
@@ -182,53 +163,56 @@ _PAIRS_TO_OWN_DIMENSION = frozenset(
     {"complete", "star", "kite", "h1", "wheel", "petersen", "h2", "h3", "unicyclic_c"}
 )
 
+# Generators whose members are all vertex-transitive.
+_VERTEX_TRANSITIVE_FAMILIES = frozenset({"cycle_family", "petersen_family", "circulant_family"})
 
-def _sdimf_complement_pair(inner: FamilySpec) -> OracleValue:
+# Family values known by kind alone; fig1b's twin multiplicities are 1, 2 and 3.
+_FIXED_FAMILIES = {
+    "fig1a": Fraction(3, 2),
+    "fig1b": Fraction(3),
+    "fig3_sub": Fraction(2),
+    "remark_b_family": Fraction(3, 2),
+}
+
+
+def _complement_pair(inner: FamilySpec) -> Fraction | None:
+    """Sd_f of {G, complement(G)} from the kind of G's spec, or None."""
     kind, params = inner.kind, inner.params
-    if kind in _PAIRS_TO_OWN_DIMENSION:
-        own = oracle_dimf(inner)
-        return _val(own.value, f"pairs to its own dimension: {own.source}", f"{own.applicability} with complement")
     if kind == "path":
-        (n,) = params
-        if n in (2, 3):
-            return _val(1, "two- and three-vertex paths pair to 1", "P_2, P_3 with complement")
-        if n == 4:
-            return _val(Fraction(4, 3), "the self-complementary path on 4 vertices", "P_4 with complement")
-        raise NoClosedForm("longer paths defer to the complement's dimension")
+        # P_4 is self-complementary; longer paths take the complement's dimension.
+        return {2: Fraction(1), 3: Fraction(1), 4: Fraction(4, 3)}.get(params[0])
     if kind == "cycle":
         (n,) = params
-        if n in (3, 4):
-            return _val(Fraction(n, 2), "small cycle pairs reach n/2", "C_3, C_4 with complement")
-        return _val(Fraction(n, 4), "cycle complement ratio n/4", "cycles n >= 5 with complement")
+        return Fraction(n, 2) if n <= 4 else Fraction(n, 4)
     if kind == "fig5_tree":
-        (k,) = params
-        return _val(Fraction(3 * k, 2), "triple-leaf spine tree pair value 3k/2", "triple-leaf spine trees with complement")
+        return Fraction(3 * params[0], 2)
     if kind == "unicyclic_a":
         a, b = params
         if a == 1:
-            v = Fraction(2) if b <= 2 else Fraction(b + 3, 2)
-        else:
-            v = Fraction(a + 3, 2) if b <= 2 else Fraction(a + b + 1, 2)
-        return _val(v, "triangle-with-broom pair table", "triangle unicyclic template (a)")
+            return Fraction(2) if b <= 2 else Fraction(b + 3, 2)
+        return Fraction(a + 3, 2) if b <= 2 else Fraction(a + b + 1, 2)
     if kind == "unicyclic_b":
         a, b = params
-        if a == 1 and b == 1:
-            v = Fraction(3, 2)
-        elif min(a, b) == 1:
-            v = Fraction(max(a, b) + 2, 2)
-        else:
-            v = Fraction(a + b + 1, 2)
-        return _val(v, "triangle-with-two-leaf-sets pair table", "triangle unicyclic template (b)")
+        if a == b == 1:
+            return Fraction(3, 2)
+        return Fraction(max(a, b) + 2, 2) if min(a, b) == 1 else Fraction(a + b + 1, 2)
     if kind == "unicyclic_d":
         a, b = params
-        if a == 1 and b == 1:
-            v = Fraction(2)
-        elif min(a, b) == 1:
-            v = Fraction(max(a, b), 2) + Fraction(4, 3)
-        else:
-            v = Fraction(a + b + 2, 2)
-        return _val(v, "four-cycle-with-adjacent-leaf-sets pair table", "four-cycle unicyclic template (d)")
-    raise NoClosedForm(f"no closed form for with_complement({format_spec(inner)})")
+        if a == b == 1:
+            return Fraction(2)
+        return Fraction(max(a, b), 2) + Fraction(4, 3) if min(a, b) == 1 else Fraction(a + b + 2, 2)
+    return None
+
+
+def _constant_twin_multiplicity(members: Sequence[Graph]) -> bool:
+    """Every vertex lies in a twin class of size >= 2 in the same number
+    m >= 1 of members."""
+    counts = [0] * members[0].n
+    for g in members:
+        for c in twin_partition(g).nontrivial():
+            for v in c:
+                counts[v] += 1
+    return min(counts) == max(counts) > 0
 
 
 def oracle_sdimf(spec: FamilySpec | str) -> OracleValue:
@@ -236,44 +220,25 @@ def oracle_sdimf(spec: FamilySpec | str) -> OracleValue:
     if isinstance(spec, str):
         spec = parse_spec(spec)
     fam = generate(spec)
+    if isinstance(fam, Graph):
+        raise NoClosedForm(f"{format_spec(spec)} is one graph; see oracle_dimf")
     kind, params = spec.kind, spec.params
+    if kind in _VERTEX_TRANSITIVE_FAMILIES:
+        # Prop 7: the largest member value |V|/r.
+        return _val(max(oracle_dimf(g).value for g in fam.members))
+    if kind == "with_complement" and params[0].kind in _PAIRS_TO_OWN_DIMENSION:
+        return oracle_dimf(params[0])
     if kind == "path_family":
         n, mode = params
-        if mode.kind == "shared_end":
-            return _val(1, "paths sharing an end-vertex pool to 1", "shared-end path families")
-        return _val(Fraction(n, n - 1), "end-free path families pool to n/(n-1)", "path families without a shared end")
-    if kind == "cycle_family":
-        n = params[0]
-        if n % 2:
-            return _val(Fraction(n, n - 1), "odd cycle families keep the member value", "odd cycle families")
-        return _val(Fraction(n, n - 2), "even cycle families keep the member value", "even cycle families")
-    if kind == "petersen_family":
-        return _val(Fraction(5, 3), "Petersen families keep the member value", "Petersen families")
-    if kind == "circulant_family":
-        best = Fraction(0)
-        for g in fam.members:
-            if not _vertex_transitive(g):
-                raise NoClosedForm("a member failed the vertex-transitivity check")
-            best = max(best, Fraction(g.n, r_of(g)))
-        return _val(best, "vertex-transitive families take the max member value", "vertex-transitive families")
-    if kind == "star_family":
-        (k,) = params
-        return _val(Fraction(k, 2), "rotating-center star family value k/2", "rotating-center star families")
-    if kind == "remark_b_family":
-        return _val(Fraction(3, 2), "shared-twin spider family value 3/2", "shared-twin spider families")
-    if kind == "twin_cycle_family":
-        (n,) = params
-        return _val(Fraction(n, 2), "constant twin multiplicity forces n/2", "cyclic twin-pair families")
-    if kind == "fig1a":
-        return _val(Fraction(3, 2), "six-vertex cycle/wheel/path family", "the first fixed six-vertex family")
-    if kind == "fig1b":
-        return _val(3, "six-vertex twin-saturated family", "the second fixed six-vertex family")
-    if kind == "fig2":
-        return _val(6, "twelve-vertex twin-saturated tree family", "the fixed twelve-vertex tree family")
-    if kind == "fig3":
-        return _val(Fraction(5, 2), "five-vertex cyclic twin family", "the fixed five-vertex tree family")
-    if kind == "fig3_sub":
-        return _val(2, "three-member subfamily value 2", "the fixed five-vertex subfamily")
-    if kind == "with_complement":
-        return _sdimf_complement_pair(params[0])
+        value = Fraction(1) if mode.kind == "shared_end" else Fraction(n, n - 1)
+    elif kind == "with_complement":
+        value = _complement_pair(params[0])
+    else:
+        value = _FIXED_FAMILIES.get(kind)
+    if value is not None:
+        return _val(value)
+    if _constant_twin_multiplicity(fam.members):
+        # Lemma 1 in each member: a twin class C needs h(C) >= |C|/2.  Summed
+        # over the members, m h(V) >= m n/2, and h = 1/2 resolves every pair.
+        return _val(Fraction(fam.n, 2))
     raise NoClosedForm(f"no closed form known for {format_spec(spec)}")

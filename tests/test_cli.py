@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -171,6 +172,30 @@ def test_empty_spec_or_file_name_counts_as_given(tmp_path, capsys, source, messa
     assert code == 2 and out == "" and err == f"error: {message}\n"
 
 
+def _stdin(monkeypatch, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+
+
+def test_dimf_reads_an_edge_list_from_stdin(monkeypatch, capsys):
+    _stdin(monkeypatch, "n 4\n0 1\n1 2\n2 3\n3 0\n")
+    code, out, _ = run(capsys, "dimf", "-")
+    assert code == 0 and out.split()[0] == "2"
+
+
+def test_sdimf_reads_a_generated_family_from_stdin(monkeypatch, capsys):
+    code, family, _ = run(capsys, "gen", "--spec", "fig1a")
+    assert code == 0
+    _stdin(monkeypatch, family)
+    code, out, _ = run(capsys, "sdimf", "-")
+    assert code == 0 and out.split()[0] == "3/2"
+
+
+def test_dimf_rejects_a_family_on_stdin(monkeypatch, capsys):
+    _stdin(monkeypatch, "n 3\ngraph A\n0 1\n1 2\ngraph B\n0 2\n")
+    code, out, err = run(capsys, "dimf", "-")
+    assert code == 2 and out == "" and "produces a family" in err
+
+
 @pytest.mark.parametrize("name", ["missing.txt", "."])
 def test_unreadable_input_exits_2(tmp_path, capsys, name):
     code, out, err = run(capsys, "dimf", str(tmp_path / name))
@@ -318,6 +343,16 @@ def test_verify_json(capsys):
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "nosuch")
     assert code == 2 and "unknown suite" in err
+
+
+@pytest.mark.parametrize("suites, message", [
+    (["all", "example1_figures"], "suite 'all' must stand alone"),
+    (["example1_figures", "nosuch"], "unknown suite 'nosuch'"),
+], ids=["all not alone", "unknown after a known suite"])
+def test_verify_rejects_bad_suite_names_before_running_any(capsys, suites, message):
+    code, out, err = run(capsys, "verify", *suites)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_verify_budget(capsys):

@@ -87,7 +87,7 @@ def test_all_suites_registered_and_pass_with_small_budgets():
 
 def test_corrupted_oracle_fails_with_witness(monkeypatch):
     def corrupted(spec, *args, **kwargs):
-        return OracleValue(Fraction(999), "corrupted", "self-test")
+        return OracleValue(Fraction(999))
 
     monkeypatch.setattr(harness, "oracle_dimf", corrupted)
     rep = run_suite("thm1_closed_forms", {"trees": 2, "n": 6})

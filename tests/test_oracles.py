@@ -6,11 +6,12 @@ import pytest
 
 from fracdim.graph import Graph, is_connected
 from fracdim.dimension import fractional_dimension, simultaneous_fractional_dimension
-from fracdim.families import SplitMix64, generate, known_kinds, parse_spec
-from fracdim.metric import _isomorphic
+from fracdim.families import SplitMix64, generate, graph_code, graph_index, known_kinds, parse_spec
+from fracdim.metric import _isomorphic, is_vertex_transitive, r_of
 from fracdim.oracles import (
     NoClosedForm,
     _bouquet_size,
+    _constant_twin_multiplicity,
     _induced,
     _is_petersen,
     _leaf_counts,
@@ -415,3 +416,102 @@ def test_bouquet_by_degrees_matches_the_removal_test():
         for _ in range(5):
             g = _relabelled(generate(spec), rng)
             assert _bouquet_size(g) == _bouquet_size_by_removal(g) == spec.count(",") + 1, spec
+
+
+# The per-kind family values that member structure replaced, kept as the
+# reference for them.
+def _sdimf_by_kind(spec):
+    kind, params = spec.kind, spec.params
+    if kind == "cycle_family":
+        n = params[0]
+        return Fraction(n, n - 1) if n % 2 else Fraction(n, n - 2)
+    if kind == "petersen_family":
+        return Fraction(5, 3)
+    if kind == "circulant_family":
+        members = generate(spec).members
+        assert all(is_vertex_transitive(g) for g in members)
+        return max(Fraction(g.n, r_of(g)) for g in members)
+    if kind in ("star_family", "twin_cycle_family"):
+        return Fraction(params[0], 2)
+    return {"fig1a": Fraction(3, 2), "fig1b": Fraction(3), "fig2": Fraction(6),
+            "fig3": Fraction(5, 2), "fig3_sub": Fraction(2)}[kind]
+
+
+_OWN_DIMENSION_PAIRS = (
+    [f"complete({n})" for n in range(2, 7)] + [f"star({n})" for n in range(3, 8)]
+    + [f"kite({n})" for n in range(4, 8)] + [f"wheel({n})" for n in range(4, 10)]
+    + ["petersen", "h1", "h2", "h3"] + [f"unicyclic_c({a})" for a in range(1, 5)]
+)
+
+
+def test_family_values_keep_the_per_kind_answers():
+    grid = (
+        [f"cycle_family({n},{k},{s})" for n in range(3, 21) for k in (1, 2, 3) for s in (1, 2)]
+        + [f"petersen_family({k},{s})" for k in (1, 2, 3) for s in (1, 4)]
+        + [f"circulant_family({n},{k},{s})" for n in range(6, 13) for k in (1, 2, 3) for s in (1, 2)]
+        + [f"star_family({k})" for k in range(4, 11)]
+        + ["twin_cycle_family(3)"] + [f"twin_cycle_family({n})" for n in range(5, 13)]
+        + ["fig1a", "fig1b", "fig2", "fig3", "fig3_sub"]
+    )
+    for spec in grid:
+        assert oracle_sdimf(spec).value == _sdimf_by_kind(parse_spec(spec)), spec
+    assert oracle_sdimf("cycle_family(20,2,1)").value == Fraction(10, 9)
+    for inner in _OWN_DIMENSION_PAIRS:
+        assert oracle_sdimf(f"with_complement({inner})") == oracle_dimf(inner), inner
+    # At n = 4 every member is a star K_{1,3}: the twin multiplicities are
+    # 2, 3, 3 and 4, so the constant-multiplicity rule does not apply.
+    assert simultaneous_fractional_dimension(generate("twin_cycle_family(4)")).value == 2
+    with pytest.raises(NoClosedForm):
+        oracle_sdimf("twin_cycle_family(4)")
+
+
+def test_single_graph_specs_have_no_family_value():
+    for spec in ["complete(4)", "path(3)", "petersen"]:
+        with pytest.raises(NoClosedForm):
+            oracle_sdimf(spec)
+
+
+def _family_spec(members):
+    return "family_of(" + ",".join(f"graph_index({g.n},{graph_code(g)})" for g in members) + ")"
+
+
+def _agrees_with_the_solver(spec):
+    """True if the oracle answers spec, False if not; an answer must be the solver's."""
+    try:
+        value = oracle_sdimf(spec).value
+    except NoClosedForm:
+        return False
+    assert value == simultaneous_fractional_dimension(generate(spec)).value, spec
+    return True
+
+
+def test_constant_twin_multiplicity_answers_equal_the_solver():
+    # Every two-member family of labelled graphs on 2..4 vertices, and every
+    # pair {G, complement(G)}: G and its complement have the same twins.
+    answered = pairs = 0
+    for n in range(2, 5):
+        graphs = [graph_index(n, code) for code in range(1 << n * (n - 1) // 2)]
+        for a, b in combinations(graphs, 2):
+            answered += _agrees_with_the_solver(_family_spec([a, b]))
+        for code in range(len(graphs)):
+            pairs += _agrees_with_the_solver(f"with_complement(graph_index({n},{code}))")
+    assert (answered, pairs) == (480, 24)
+    rng = SplitMix64(31)
+    specs = ([f"star_family({k})" for k in range(5, 10)]
+             + [f"twin_cycle_family({n})" for n in range(5, 12)] + ["fig3"])
+    for spec in specs:
+        fam = generate(spec)
+        perm = list(range(fam.n))
+        rng.shuffle(perm)
+        members = [Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]) for g in fam.members]
+        assert _agrees_with_the_solver(_family_spec(members)), spec
+
+
+def test_constant_twin_multiplicity_leaves_uneven_families_alone():
+    # fig1b's multiplicities are 1, 2 and 3; remark_a_family(4) leaves every
+    # branch vertex without a twin.
+    assert not _constant_twin_multiplicity(generate("fig1b").members)
+    assert oracle_sdimf("fig1b").value == 3
+    assert not _constant_twin_multiplicity(generate("remark_a_family(4)").members)
+    with pytest.raises(NoClosedForm):
+        oracle_sdimf("remark_a_family(4)")
