@@ -81,8 +81,7 @@ def _load(args) -> GraphFamily:
         n, blocks = _parse_blocks(_read_text(args.input))
         obj = _family(n, blocks) if len(blocks) > 1 else Graph(n, blocks[0][2])
     if isinstance(obj, Graph):
-        name = args.spec or "input"
-        return with_complement(obj, name) if args.with_complement else GraphFamily([obj], [name])
+        return with_complement(obj) if args.with_complement else GraphFamily([obj])
     if not args.family:
         source = f"spec {args.spec!r}" if args.spec else f"file {args.input!r}"
         raise ParseError(f"{source} produces a family; use sdimf/sdim")

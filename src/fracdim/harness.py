@@ -1,10 +1,10 @@
 """Named suites that re-verify the library's claimed identities numerically.
 
-Each suite builds a deterministic list of checks (fixed seeds, fixed
-ordering); a check compares an engine-computed quantity against an
-independent expectation and carries a witness string on failure with a
-spec sufficient to reproduce the instance in one CLI call.  Budgets cap
-sizes and sample counts.
+Each suite is a generator that runs its checks in a fixed order (fixed
+seeds) and yields each result as it is reached; a check compares an
+engine-computed quantity against an independent expectation and carries a
+witness string on failure with a spec sufficient to reproduce the instance
+in one CLI call.  Budgets cap sizes and sample counts.
 """
 
 from __future__ import annotations
@@ -15,16 +15,16 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Callable, Collection, Mapping, Sequence
+from typing import Callable, Collection, Iterator, Mapping, Sequence
 
 from .graph import Graph, complement, diameter
 from .lp import CoveringLp, format_rational
 from .metric import (
     _isomorphic,
-    family_twin_multiplicity,
     is_vertex_transitive,
     r_of,
     resolver_masks,
+    twin_multiplicities,
     twin_partition,
 )
 from .dimension import (
@@ -64,9 +64,12 @@ class Budget:
         limits = {}
         for pair in pairs or ():
             key, sep, value = pair.partition("=")
-            if not sep or not key:
-                raise ValueError(f"budget entries look like n=12, got {pair!r}")
-            limits[key.strip()] = int(value)
+            try:
+                if not sep or not key:
+                    raise ValueError
+                limits[key.strip()] = int(value)
+            except ValueError:
+                raise ValueError(f"budget entries look like n=12, got {pair!r}") from None
         return Budget(limits)
 
 
@@ -117,8 +120,8 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-Unit = tuple[str, Callable[[], tuple[bool, str]]]
-Check = Callable[..., tuple[bool, str]]  # generated instance -> (ok, detail)
+Check = Callable[..., tuple[bool, str]]  # built instance -> (ok, detail)
+Suite = Iterator[tuple[str, bool, str]]  # (description, ok, witness) per check
 
 
 def _fmt(v: Fraction) -> str:
@@ -211,34 +214,21 @@ def _checked(spec: str, check: Check, build=None) -> tuple[bool, str]:
     return ok, f"spec={spec} {detail}"
 
 
-def _spec_unit(description: str, spec: str, check: Check) -> Unit:
-    return description, lambda: _checked(spec, check)
-
-
-def _value_unit(description: str, spec: str, expected: Fraction,
-                measure: Callable[..., Fraction]) -> Unit:
-    return _spec_unit(description, spec, lambda obj: _expect(expected, measure(obj)))
-
-
-def _batch_unit(description: str, specs: Collection[str], check: Check,
-                build=None) -> Unit:
-    """One check over many specs, each built (by default generated) when its turn comes."""
-
-    def run() -> tuple[bool, str]:
-        for spec in specs:
-            ok, witness = _checked(spec, check, build)
-            if not ok:
-                return False, witness
-        return True, f"{len(specs)} instances"
-
-    return description, run
+def _batch(specs: Collection[str], check: Check, build=None) -> tuple[bool, str]:
+    """One check over many specs, each built when its turn comes; the
+    first failure is the witness."""
+    for spec in specs:
+        ok, witness = _checked(spec, check, build)
+        if not ok:
+            return False, witness
+    return True, f"{len(specs)} instances"
 
 
 # ---------------------------------------------------------------------------
-# suite builders
+# suites
 
 
-def _suite_thm1_closed_forms(budget: Budget) -> list[Unit]:
+def _suite_thm1_closed_forms(budget: Budget) -> Suite:
     roster = (
         [f"path({n})" for n in range(2, 13)]
         + [f"cycle({n})" for n in range(3, 13)]
@@ -251,24 +241,17 @@ def _suite_thm1_closed_forms(budget: Budget) -> list[Unit]:
         + [f"kite({n})" for n in range(4, 9)]
         + [f"fig5_tree({k})" for k in range(2, 5)]
     )
-    units = [
-        _value_unit(f"dimension of {spec} matches its closed form", spec,
-                    oracle_dimf(spec).value, _dimf)
-        for spec in roster
-    ]
+    for spec in roster:
+        expected = oracle_dimf(spec).value
+        yield (f"dimension of {spec} matches its closed form",
+               *_checked(spec, lambda g: _expect(expected, _dimf(g))))
 
     trees = budget.get("trees", 60)
     cap = budget.get("n", 14)
     rng = _rng(budget, 0)
     specs = [f"random_tree({_size(rng, 4, cap)},{rng.next_u64()})" for _ in range(trees)]
-    units.append(
-        _batch_unit(
-            f"tree closed form (sigma-ex1)/2 on {trees} random trees (n <= {max(cap, 4)})",
-            specs,
-            lambda g: _expect(oracle_dimf(g).value, _dimf(g)),
-        )
-    )
-    return units
+    yield (f"tree closed form (sigma-ex1)/2 on {trees} random trees (n <= {max(cap, 4)})",
+           *_batch(specs, lambda g: _expect(oracle_dimf(g).value, _dimf(g))))
 
 
 def _random_family_specs(budget: Budget, default_samples: int) -> list[str]:
@@ -280,7 +263,7 @@ def _random_family_specs(budget: Budget, default_samples: int) -> list[str]:
     ]
 
 
-def _suite_obs2_sandwich(budget: Budget) -> list[Unit]:
+def _suite_obs2_sandwich(budget: Budget) -> Suite:
     specs = _random_family_specs(budget, 50)
 
     def check(fam):
@@ -291,14 +274,8 @@ def _suite_obs2_sandwich(budget: Budget) -> list[Unit]:
             f"min(sum,n/2)={_fmt(upper)} sd={rep.sd}"
         )
 
-    return [
-        _batch_unit(
-            f"bound chain max <= Sd_f <= min(sum, n/2) <= n/2 and Sd_f <= Sd "
-            f"on {len(specs)} random families",
-            specs,
-            check,
-        )
-    ]
+    yield (f"bound chain max <= Sd_f <= min(sum, n/2) <= n/2 and Sd_f <= Sd "
+           f"on {len(specs)} random families", *_batch(specs, check))
 
 
 def _twin_bound_holds(fam: GraphFamily) -> tuple[bool, str]:
@@ -314,7 +291,7 @@ def _twin_bound_holds(fam: GraphFamily) -> tuple[bool, str]:
     return True, f"value={_fmt(res.value)}"
 
 
-def _suite_lemma1_twin_bound(budget: Budget) -> list[Unit]:
+def _suite_lemma1_twin_bound(budget: Budget) -> Suite:
     roster = [
         "fig1a", "fig1b", "fig2", "fig3", "fig3_sub",
         "star_family(5)", "star_family(6)",
@@ -324,12 +301,9 @@ def _suite_lemma1_twin_bound(budget: Budget) -> list[Unit]:
         "with_complement(unicyclic_b(2,3))", "with_complement(unicyclic_d(2,2))",
         "with_complement(star(7))", "with_complement(wheel(7))",
     ]
-    roster += _random_family_specs(budget, 10)
-    return [
-        _spec_unit(f"optimal assignment of {spec} gives every twin class its half",
-                   spec, _twin_bound_holds)
-        for spec in roster
-    ]
+    for spec in roster + _random_family_specs(budget, 10):
+        yield (f"optimal assignment of {spec} gives every twin class its half",
+               *_checked(spec, _twin_bound_holds))
 
 
 def _path_family(orders) -> tuple[str, GraphFamily]:
@@ -347,8 +321,7 @@ def _common_end(members) -> bool:
     return bool(ends)
 
 
-def _suite_thm4_sdf_one(budget: Budget) -> list[Unit]:
-    units: list[Unit] = []
+def _suite_thm4_sdf_one(budget: Budget) -> Suite:
     # one orientation per labeled path
     paths4 = [p for p in permutations(range(4)) if p[0] < p[-1]]
 
@@ -358,29 +331,20 @@ def _suite_thm4_sdf_one(budget: Budget) -> list[Unit]:
 
     for size in (2, 3):
         families = dict(map(_path_family, combinations(paths4, size)))
-        units.append(
-            _batch_unit(
-                f"value is 1 exactly for shared-end families: all {len(families)} "
-                f"{size}-member families of 4-vertex paths",
-                families,
-                check_exhaustive,
-                families.__getitem__,
-            )
-        )
+        yield (f"value is 1 exactly for shared-end families: all {len(families)} "
+               f"{size}-member families of 4-vertex paths",
+               *_batch(families, check_exhaustive, families.__getitem__))
 
     for mode, low, what in (("shared_end", 2, "shared-end"), ("rotations", 3, "rotated")):
         for n in range(low, 9):
             spec = f"path_family({n},{mode})"
             expected = oracle_sdimf(spec).value
-            units.append(
-                _value_unit(f"{what} path family on {n} vertices has value {_fmt(expected)}",
-                            spec, expected, _sdf)
-            )
+            yield (f"{what} path family on {n} vertices has value {_fmt(expected)}",
+                   *_checked(spec, lambda fam: _expect(expected, _sdf(fam))))
 
-    units.append(
-        _spec_unit("a family with a non-path member exceeds 1", "family_of(path(5),cycle(5))",
-                   lambda fam: ((v := _sdf(fam)) > 1, f"value={_fmt(v)}"))
-    )
+    yield ("a family with a non-path member exceeds 1",
+           *_checked("family_of(path(5),cycle(5))",
+                     lambda fam: ((v := _sdf(fam)) > 1, f"value={_fmt(v)}")))
 
     samples = budget.get("samples", 60)
     rng = _rng(budget, 0x0444)
@@ -401,38 +365,26 @@ def _suite_thm4_sdf_one(budget: Budget) -> list[Unit]:
         ok = value == 1 if common else value == Fraction(fam.n, fam.n - 1)
         return ok, f"common_end={common} value={_fmt(value)}"
 
-    units.append(
-        _batch_unit(
-            f"both directions on {samples} sampled path families (5 <= n <= 8)",
-            specs,
-            check_sampled,
-            families.__getitem__,
-        )
-    )
-    return units
+    yield (f"both directions on {samples} sampled path families (5 <= n <= 8)",
+           *_batch(specs, check_sampled, families.__getitem__))
 
 
-def _suite_example1_figures(budget: Budget) -> list[Unit]:
-    units = []
+def _suite_example1_figures(budget: Budget) -> Suite:
     for spec in ("fig1a", "fig1b", "fig2", "fig3", "fig3_sub"):
         expected = oracle_sdimf(spec).value
-        units.append(
-            _value_unit(f"fixed family {spec} has simultaneous value {_fmt(expected)}",
-                        spec, expected, _sdf)
-        )
-    return units
+        yield (f"fixed family {spec} has simultaneous value {_fmt(expected)}",
+               *_checked(spec, lambda fam: _expect(expected, _sdf(fam))))
 
 
-def _suite_prop_mg_constant(budget: Budget) -> list[Unit]:
-    units = []
+def _suite_prop_mg_constant(budget: Budget) -> Suite:
     roster = (
         [("fig3", 2)]
         + [(f"star_family({k})", k - 1) for k in range(4, 7)]
         + [(f"twin_cycle_family({n})", 2) for n in range(5, 10)]
     )
     for spec, m in roster:
-        def check(fam, m=m) -> tuple[bool, str]:
-            mults = {family_twin_multiplicity(fam, u) for u in range(fam.n)}
+        def check(fam) -> tuple[bool, str]:
+            mults = set(twin_multiplicities(fam.members))
             if mults != {m}:
                 return False, f"multiplicities={sorted(mults)} expected constant {m}"
             value, expected = _sdf(fam), Fraction(fam.n, 2)
@@ -442,13 +394,10 @@ def _suite_prop_mg_constant(budget: Budget) -> list[Unit]:
                 f"expected={_fmt(expected)} actual={_fmt(value)}",
             )
 
-        units.append(
-            _spec_unit(f"constant twin multiplicity {m} forces n/2 for {spec}", spec, check)
-        )
-    return units
+        yield f"constant twin multiplicity {m} forces n/2 for {spec}", *_checked(spec, check)
 
 
-def _suite_prop7_vertex_transitive(budget: Budget) -> list[Unit]:
+def _suite_prop7_vertex_transitive(budget: Budget) -> Suite:
     roster = (
         [f"cycle_family({n},3,{100 + n})" for n in range(5, 11)]
         + ["petersen_family(2,7)", "petersen_family(3,21)"]
@@ -463,10 +412,9 @@ def _suite_prop7_vertex_transitive(budget: Budget) -> list[Unit]:
             best = max(best, Fraction(g.n, r_of(g)))
         return _expect(best, _sdf(fam))
 
-    return [
-        _spec_unit(f"{spec}: pooled value equals the max member ratio |V|/r", spec, check)
-        for spec in roster
-    ]
+    for spec in roster:
+        yield (f"{spec}: pooled value equals the max member ratio |V|/r",
+               *_checked(spec, check))
 
 
 def _connected_samples(budget: Budget, salt: int, default_samples: int,
@@ -487,7 +435,7 @@ def _connected_samples(budget: Budget, salt: int, default_samples: int,
     return kept
 
 
-def _suite_lemma10_diam2_subset(budget: Budget) -> list[Unit]:
+def _suite_lemma10_diam2_subset(budget: Budget) -> Suite:
     kept = _connected_samples(budget, 0xD1A2, 120, (35, 45, 55, 65),
                               lambda g: diameter(g) == 2)
 
@@ -498,18 +446,11 @@ def _suite_lemma10_diam2_subset(budget: Budget) -> list[Unit]:
                 return False, f"pair={pair} not contained in the complement's resolver set"
         return True, ""
 
-    return [
-        _batch_unit(
-            f"resolver sets of {len(kept)} random diameter-2 graphs embed in "
-            "their complements'",
-            kept,
-            check,
-            kept.__getitem__,
-        )
-    ]
+    yield (f"resolver sets of {len(kept)} random diameter-2 graphs embed in "
+           "their complements'", *_batch(kept, check, kept.__getitem__))
 
 
-def _suite_thm11_complement(budget: Budget) -> list[Unit]:
+def _suite_thm11_complement(budget: Budget) -> Suite:
     # both diameters 3 is outside the hypothesis
     kept = _connected_samples(budget, 0x7E11, 60, (30, 45, 60, 75),
                               lambda g: (diameter(g), diameter(complement(g))) != (3, 3))
@@ -519,15 +460,8 @@ def _suite_thm11_complement(budget: Budget) -> list[Unit]:
         first = g if diameter(g) <= diameter(comp) else comp
         return _expect(_dimf(first), _pair(g))
 
-    return [
-        _batch_unit(
-            f"pair value equals the smaller-diameter side's dimension on "
-            f"{len(kept)} random graphs",
-            kept,
-            check,
-            kept.__getitem__,
-        )
-    ]
+    yield (f"pair value equals the smaller-diameter side's dimension on "
+           f"{len(kept)} random graphs", *_batch(kept, check, kept.__getitem__))
 
 
 def _is_tiny_path_or_co(g: Graph) -> bool:
@@ -539,7 +473,7 @@ def _is_tiny_path_or_co(g: Graph) -> bool:
     return len(g.edges) in (1, 2)
 
 
-def _suite_thm8_characterizations(budget: Budget) -> list[Unit]:
+def _suite_thm8_characterizations(budget: Budget) -> Suite:
     def check(g: Graph, exhaustive: bool = False) -> tuple[bool, str]:
         all_twins = has_fixed_point_free_twin_permutation(g)
         half = Fraction(g.n, 2)
@@ -553,18 +487,13 @@ def _suite_thm8_characterizations(budget: Budget) -> list[Unit]:
             return False, f"(a) pair value={_fmt(sdf)}"
         return True, ""
 
-    units = []
     # exhaustive bound has its own key: 2^binom(n,2) graphs is steep in n
     cap = min(budget.get("exhaustive_n", 5), 6)
     for n in range(2, cap + 1):
         count = 1 << n * (n - 1) // 2
-        units.append(
-            _batch_unit(
-                f"n/2 and =1 characterizations on all {count} labeled graphs with n={n}",
-                [f"graph_index({n},{code})" for code in range(count)],
-                lambda g: check(g, exhaustive=True),
-            )
-        )
+        yield (f"n/2 and =1 characterizations on all {count} labeled graphs with n={n}",
+               *_batch([f"graph_index({n},{code})" for code in range(count)],
+                       lambda g: check(g, exhaustive=True)))
 
     samples = budget.get("samples", 60)
     size_cap = budget.get("n", 9)
@@ -573,17 +502,11 @@ def _suite_thm8_characterizations(budget: Budget) -> list[Unit]:
     for _ in range(samples):
         n = _size(rng, 6, size_cap)
         specs.append(f"graph_index({n},{rng.next_u64() % (1 << n * (n - 1) // 2)})")
-    units.append(
-        _batch_unit(
-            f"characterizations on {samples} sampled graphs with 6 <= n <= {max(size_cap, 6)}",
-            specs,
-            check,
-        )
-    )
-    return units
+    yield (f"characterizations on {samples} sampled graphs with 6 <= n <= {max(size_cap, 6)}",
+           *_batch(specs, check))
 
 
-def _suite_thm14_trees(budget: Budget) -> list[Unit]:
+def _suite_thm14_trees(budget: Budget) -> Suite:
     trees = budget.get("trees", 40)
     cap = budget.get("n", 12)
     rng = _rng(budget, 0x7255)
@@ -595,43 +518,35 @@ def _suite_thm14_trees(budget: Budget) -> list[Unit]:
             f"pair={_fmt(value)} dim_f(T)={_fmt(own)} dim_f(complement)={_fmt(other)}"
         )
 
-    return [
-        _batch_unit(
-            f"tree/complement pairs take the complement's dimension on {trees} "
-            f"random trees (n <= {max(cap, 5)})",
-            specs,
-            check,
-        )
-    ]
+    yield (f"tree/complement pairs take the complement's dimension on {trees} "
+           f"random trees (n <= {max(cap, 5)})", *_batch(specs, check))
 
 
-def _suite_prop12_paths(budget: Budget) -> list[Unit]:
-    units = []
+def _suite_prop12_paths(budget: Budget) -> Suite:
     cap = budget.get("n", 12)
     for n in range(2, cap + 1):
         spec = f"with_complement(path({n}))"
 
-        def check(fam, n=n, s=spec) -> tuple[bool, str]:
+        def check(fam) -> tuple[bool, str]:
             value = _sdf(fam)
             # P_2, P_3, P_4 have a pair closed form; longer paths take the complement's value
-            expected = oracle_sdimf(s).value if n <= 4 else _dimf(fam.members[1])
+            expected = oracle_sdimf(spec).value if n <= 4 else _dimf(fam.members[1])
             return _verdict(
                 value == expected and value >= 1,
                 f"value={_fmt(value)}",
                 f"expected={_fmt(expected)} actual={_fmt(value)}",
             )
 
-        units.append(_spec_unit(f"path/complement pair value for n={n}", spec, check))
-    return units
+        yield f"path/complement pair value for n={n}", *_checked(spec, check)
 
 
-def _suite_prop15_cycles(budget: Budget) -> list[Unit]:
-    units = []
+def _suite_prop15_cycles(budget: Budget) -> Suite:
     cap = budget.get("n", 12)
     for n in range(3, cap + 1):
         spec = f"with_complement(cycle({n}))"
+        expected = oracle_sdimf(spec).value
 
-        def check(fam, expected=oracle_sdimf(spec).value) -> tuple[bool, str]:
+        def check(fam) -> tuple[bool, str]:
             value, comp_value = _sdf(fam), _dimf(fam.members[1])
             return _verdict(
                 value == expected == comp_value,
@@ -640,8 +555,7 @@ def _suite_prop15_cycles(budget: Budget) -> list[Unit]:
                 f"complement={_fmt(comp_value)}",
             )
 
-        units.append(_spec_unit(f"cycle/complement pair value for n={n}", spec, check))
-    return units
+        yield f"cycle/complement pair value for n={n}", *_checked(spec, check)
 
 
 # The trichotomy's exceptions: each pairs to its own dimension, which exceeds
@@ -650,7 +564,7 @@ def _suite_prop15_cycles(budget: Budget) -> list[Unit]:
 _UNICYCLIC_EXCEPTIONS = (("h1", Fraction(1, 2)), ("h2", Fraction(1, 2)), ("h3", Fraction(1, 3)))
 
 
-def _suite_unicyclic_table(budget: Budget) -> list[Unit]:
+def _suite_unicyclic_table(budget: Budget) -> Suite:
     cap = min(budget.get("ab", 4), 6)
     table: list[str] = []
     for a in range(1, cap + 1):
@@ -658,28 +572,24 @@ def _suite_unicyclic_table(budget: Budget) -> list[Unit]:
                   for kind in ("unicyclic_a", "unicyclic_b", "unicyclic_d")]
         table.append(f"unicyclic_c({a})")
     table += [f"kite({n})" for n in range(4, 9)]
-    units = []
     for spec in table:
         pair = f"with_complement({spec})"
-        units.append(
-            _value_unit(f"template pair value for {spec}", pair,
-                        oracle_sdimf(pair).value, _sdf)
-        )
+        expected = oracle_sdimf(pair).value
+        yield (f"template pair value for {spec}",
+               *_checked(pair, lambda fam: _expect(expected, _sdf(fam))))
 
     for spec, offset in _UNICYCLIC_EXCEPTIONS:
-        def exception(fam, off=offset) -> tuple[bool, str]:
+        def exception(fam) -> tuple[bool, str]:
             value, own, other = _sdf(fam), _dimf(fam.members[0]), _dimf(fam.members[1])
             return _verdict(
-                value == own == other + off,
+                value == own == other + offset,
                 f"value={_fmt(value)}",
                 f"pair={_fmt(value)} own={_fmt(own)} complement={_fmt(other)} "
-                f"offset={_fmt(off)}",
+                f"offset={_fmt(offset)}",
             )
 
-        units.append(
-            _spec_unit(f"exceptional graph {spec} exceeds its complement by {_fmt(offset)}",
-                       f"with_complement({spec})", exception)
-        )
+        yield (f"exceptional graph {spec} exceeds its complement by {_fmt(offset)}",
+               *_checked(f"with_complement({spec})", exception))
 
     samples = budget.get("samples", 30)
     rng = _rng(budget, 0x0117)
@@ -697,20 +607,13 @@ def _suite_unicyclic_table(budget: Budget) -> list[Unit]:
             return False, f"own dimension is not {_fmt(expected)}"
         return True, ""
 
-    units.append(
-        _batch_unit(
-            f"trichotomy on {samples} random unicyclic graphs (n <= 10)",
-            specs,
-            check,
-        )
-    )
-    return units
+    yield (f"trichotomy on {samples} random unicyclic graphs (n <= 10)",
+           *_batch(specs, check))
 
 
-def _suite_remarks_gaps(budget: Budget) -> list[Unit]:
-    units: list[Unit] = []
+def _suite_remarks_gaps(budget: Budget) -> Suite:
     for k in range(3, 7):
-        def spider(fam, k=k) -> tuple[bool, str]:
+        def spider(fam) -> tuple[bool, str]:
             value = _sdf(fam)
             member_max = max(_dimf(g) for g in fam.members)
             gap = value - member_max
@@ -721,11 +624,11 @@ def _suite_remarks_gaps(budget: Budget) -> list[Unit]:
                 f"expected gap={_fmt(k - Fraction(3, 2))}",
             )
 
-        units.append(_spec_unit(f"lower-bound gap k-3/2 for the k={k} spider family",
-                                f"remark_a_family({k})", spider))
+        yield (f"lower-bound gap k-3/2 for the k={k} spider family",
+               *_checked(f"remark_a_family({k})", spider))
 
     for k in range(3, 7):
-        def shared_twin(fam, k=k) -> tuple[bool, str]:
+        def shared_twin(fam) -> tuple[bool, str]:
             rep = bounds_report(fam)
             upper = min(rep.sum_dimf, rep.half_n)
             gap = upper - rep.sdf
@@ -737,11 +640,11 @@ def _suite_remarks_gaps(budget: Budget) -> list[Unit]:
                 f"expected gap={_fmt(Fraction(k, 2))}",
             )
 
-        units.append(_spec_unit(f"upper-bound gap k/2 for the k={k} shared-twin family",
-                                f"remark_b_family({k})", shared_twin))
+        yield (f"upper-bound gap k/2 for the k={k} shared-twin family",
+               *_checked(f"remark_b_family({k})", shared_twin))
 
     for k in range(4, 9):
-        def star(fam, k=k) -> tuple[bool, str]:
+        def star(fam) -> tuple[bool, str]:
             sd = simultaneous_dimension(fam)
             sdf = _sdf(fam)
             gap = sd - sdf
@@ -751,13 +654,14 @@ def _suite_remarks_gaps(budget: Budget) -> list[Unit]:
                 f"sd={sd} expected {k - 1}; sdf={_fmt(sdf)} expected {_fmt(Fraction(k, 2))}",
             )
 
-        units.append(_spec_unit(f"integral-fractional gap (k-2)/2 for the k={k} star family",
-                                f"star_family({k})", star))
+        yield (f"integral-fractional gap (k-2)/2 for the k={k} star family",
+               *_checked(f"star_family({k})", star))
 
     for k in range(2, 5):
         spec = f"with_complement(fig5_tree({k}))"
+        expected = oracle_sdimf(spec).value
 
-        def spine(fam, k=k, expected=oracle_sdimf(spec).value) -> tuple[bool, str]:
+        def spine(fam) -> tuple[bool, str]:
             value, own, other = _sdf(fam), _dimf(fam.members[0]), _dimf(fam.members[1])
             gap = min(own + other, Fraction(fam.n, 2)) - value
             return _verdict(
@@ -767,13 +671,10 @@ def _suite_remarks_gaps(budget: Budget) -> list[Unit]:
                 f"expected={_fmt(expected)}",
             )
 
-        units.append(
-            _spec_unit(f"pair gap k/2 for the k={k} triple-leaf spine tree", spec, spine)
-        )
-    return units
+        yield f"pair gap k/2 for the k={k} triple-leaf spine tree", *_checked(spec, spine)
 
 
-SUITES: dict[str, Callable[[Budget], list[Unit]]] = {
+SUITES: dict[str, Callable[[Budget], Suite]] = {
     "thm1_closed_forms": _suite_thm1_closed_forms,
     "obs2_sandwich": _suite_obs2_sandwich,
     "lemma1_twin_bound": _suite_lemma1_twin_bound,
@@ -797,20 +698,18 @@ SUITE_ORDER: tuple[str, ...] = tuple(SUITES)
 def run_suite(name: str, budget=None) -> SuiteReport:
     """Run one named suite; deterministic given (name, budget)."""
     try:
-        builder = SUITES[name]
+        suite = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_ORDER)}") from None
     started = time.perf_counter()
-    checks = []
     token = _MEMO.set(_Memo())
     try:
-        for desc, run in builder(_budget(budget)):
-            ok, witness = run()
-            checks.append(CheckResult(desc, "pass" if ok else "fail", witness))
+        checks = tuple(CheckResult(desc, "pass" if ok else "fail", witness)
+                       for desc, ok, witness in suite(_budget(budget)))
     finally:
         _MEMO.reset(token)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
-    return SuiteReport(name, tuple(checks), elapsed_ms)
+    return SuiteReport(name, checks, elapsed_ms)
 
 
 def run_all(budget=None) -> list[SuiteReport]:

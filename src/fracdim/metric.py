@@ -282,13 +282,21 @@ def is_vertex_transitive(g: Graph) -> bool:
     return True
 
 
+def twin_multiplicities(members: Sequence[Graph]) -> list[int]:
+    """For each vertex, the number of members in which it lies in a twin
+    class of size >= 2; one twin partition per member."""
+    counts = [0] * max(g.n for g in members)
+    for g in members:
+        for c in twin_partition(g).nontrivial():
+            for v in c:
+                counts[v] += 1
+    return counts
+
+
 def family_twin_multiplicity(family, u: int) -> int:
     """Number of family members in which u lies in a twin class of size >= 2."""
     members: Sequence[Graph] = getattr(family, "members", family)
-    count = 0
     for g in members:
         if not 0 <= u < g.n:
             raise ValueError(f"vertex {u} not in a graph on {g.n} vertices")
-        if len(twin_partition(g).class_of(u)) >= 2:
-            count += 1
-    return count
+    return twin_multiplicities(members)[u] if members else 0

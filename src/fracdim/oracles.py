@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .graph import Graph, _ball_layers, is_connected, is_tree
-from .metric import is_vertex_transitive, r_of, tree_profile, twin_partition
+from .metric import is_vertex_transitive, r_of, tree_profile, twin_multiplicities, twin_partition
 from .families import FamilySpec, format_spec, generate, parse_spec
 
 
@@ -207,11 +207,7 @@ def _complement_pair(inner: FamilySpec) -> Fraction | None:
 def _constant_twin_multiplicity(members: Sequence[Graph]) -> bool:
     """Every vertex lies in a twin class of size >= 2 in the same number
     m >= 1 of members."""
-    counts = [0] * members[0].n
-    for g in members:
-        for c in twin_partition(g).nontrivial():
-            for v in c:
-                counts[v] += 1
+    counts = twin_multiplicities(members)
     return min(counts) == max(counts) > 0
 
 

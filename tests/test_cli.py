@@ -366,6 +366,13 @@ def test_verify_unknown_budget_key_exits_2(capsys):
     assert code == 2 and out == "" and "unknown budget key 'nn'" in err
 
 
+@pytest.mark.parametrize("entry", ["n=abc", "n=1e3"])
+def test_verify_non_integer_budget_value_exits_2(capsys, entry):
+    code, out, err = run(capsys, "verify", "prop12_paths", "--budget", entry)
+    assert code == 2 and out == ""
+    assert err == f"error: budget entries look like n=12, got '{entry}'\n"
+
+
 def test_verify_negative_budget_count_exits_2(capsys):
     # a suite that checked nothing must not report a pass
     code, out, err = run(capsys, "verify", "thm1_closed_forms", "--budget", "trees=-2")

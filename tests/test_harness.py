@@ -55,6 +55,11 @@ def test_budget_rejects_negative_counts():
     assert Budget.parse(["seed=-5", "n=0"]).get("seed", 7) == -5
 
 
+def test_the_ab_budget_is_capped_at_6():
+    assert run_suite("unicyclic_table", {"ab": 9}).checks == run_suite(
+        "unicyclic_table", {"ab": 6}).checks
+
+
 def test_budget_keys_are_the_ones_the_suites_read():
     read = set(re.findall(r'budget\.get\("(\w+)"', inspect.getsource(harness)))
     assert read == set(Budget.KEYS)

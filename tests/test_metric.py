@@ -1,4 +1,4 @@
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +16,7 @@ from fracdim.metric import (
     resolver_masks,
     resolving_constraint,
     tree_profile,
+    twin_multiplicities,
     twin_partition,
 )
 from fracdim.dimension import GraphFamily, _member_masks, _minimal_union
@@ -310,6 +311,24 @@ def test_family_twin_multiplicity():
     for u in (-1, 5):
         with pytest.raises(ValueError, match="not in a graph"):
             family_twin_multiplicity(fig3, u)
+
+
+def per_vertex_twin_multiplicity(members, u):
+    """The reference: one twin partition per member for each vertex asked about."""
+    return sum(len(twin_partition(g).class_of(u)) >= 2 for g in members)
+
+
+def test_twin_multiplicities_match_the_per_vertex_count():
+    # Every two-member family of labelled graphs with n <= 4.
+    for n in range(1, 5):
+        pairs = list(combinations(range(n), 2))
+        graphs = [Graph(n, [p for i, p in enumerate(pairs) if code >> i & 1])
+                  for code in range(1 << len(pairs))]
+        for members in product(graphs, repeat=2):
+            fam = GraphFamily(members)
+            expected = [per_vertex_twin_multiplicity(members, u) for u in range(n)]
+            assert twin_multiplicities(members) == expected, (n, members)
+            assert [family_twin_multiplicity(fam, u) for u in range(n)] == expected
 
 
 def graphs(max_n=8, connected_only=False):
