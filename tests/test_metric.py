@@ -322,9 +322,9 @@ def test_twin_multiplicities_match_the_per_vertex_count():
     # Every two-member family of labelled graphs with n <= 4.
     for n in range(1, 5):
         pairs = list(combinations(range(n), 2))
-        graphs = [Graph(n, [p for i, p in enumerate(pairs) if code >> i & 1])
-                  for code in range(1 << len(pairs))]
-        for members in product(graphs, repeat=2):
+        labelled = [Graph(n, [p for i, p in enumerate(pairs) if code >> i & 1])
+                    for code in range(1 << len(pairs))]
+        for members in product(labelled, repeat=2):
             fam = GraphFamily(members)
             expected = [per_vertex_twin_multiplicity(members, u) for u in range(n)]
             assert twin_multiplicities(members) == expected, (n, members)
