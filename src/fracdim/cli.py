@@ -84,7 +84,9 @@ def _load(args) -> GraphFamily:
         return with_complement(obj) if args.with_complement else GraphFamily([obj])
     if not args.family:
         source = f"spec {args.spec!r}" if args.spec else f"file {args.input!r}"
-        raise ParseError(f"{source} produces a family; use sdimf/sdim")
+        hint = ("use sdimf/sdim" if args.command in ("dimf", "dim")
+                else f"{args.command} takes one graph")
+        raise ParseError(f"{source} produces a family; {hint}")
     if args.with_complement:
         raise ParseError("--with-complement needs a single-graph spec or file")
     return obj

@@ -53,11 +53,13 @@ class Budget:
         for key, value in self.limits.items():
             if key not in self.KEYS:
                 raise ValueError(f"unknown budget key {key!r}; known: {', '.join(self.KEYS)}")
-            if key != "seed" and int(value) < 0:
+            if type(value) is not int:  # not isinstance: bool is an int subclass
+                raise ValueError(f"budget {key} must be an integer, got {value!r}")
+            if key != "seed" and value < 0:
                 raise ValueError(f"budget {key} must be >= 0, got {value}")
 
     def get(self, key: str, default: int) -> int:
-        return int(self.limits.get(key, default))
+        return self.limits.get(key, default)
 
     @staticmethod
     def parse(pairs) -> "Budget":

@@ -16,11 +16,13 @@ the packing dual
 
 starting from the slack basis, which is feasible at the origin.  The tableau
 is one integer matrix: a row per variable and the objective row, with the
-right-hand side as a column.  Pivots are integer-preserving (Bareiss) and
-treat every row alike: each entry is an integer over one common determinant,
-so each update is an exact integer division and no gcd is taken.  Dantzig's
-rule picks the entering column and a lexicographic ratio test picks the
-leaving row, which rules out cycling.  The objective row ends with the value
+right-hand side as a column.  Pivots are integer-preserving (Bareiss): each
+row is an integer vector over the basis determinant it was last written at,
+so each update is an exact integer division and no gcd is taken.  A pivot
+rewrites only the rows with a non-zero entry in the entering column; the
+others keep their entries and their determinant.  Dantzig's rule picks the
+entering column and a lexicographic ratio test picks the leaving row, which
+rules out cycling.  The objective row ends with the value
 and the covering optimum x, the reduced costs of the slacks.  Values become
 `fractions.Fraction` only in the returned solution, and every solution ships
 a dual certificate that is re-verified by direct substitution before it is
@@ -162,8 +164,9 @@ def _lex_less(Ti, Tk, q, m) -> bool:
 
     Rows are compared by (b, B^-1 row) / T[.][q] lexicographically, by
     cross-multiplication: that is each row from column m on, the right-hand
-    side b and then the slack columns, which hold B^-1 (scaled by D).  The
-    rows of B^-1 are independent, so two distinct rows never tie.
+    side b and then the slack columns, which hold B^-1 (scaled by the row's
+    own determinant, a positive factor the ratio cancels).  The rows of B^-1
+    are independent, so two distinct rows never tie.
     """
     ti, tk = Ti[q], Tk[q]
     for j in range(m, len(Ti)):
@@ -203,6 +206,7 @@ def solve_covering_lp(lp: CoveringLp) -> LpSolution:
     T.append([-1] * m + [0] * (k + 1))
     basis = list(range(m + 1, m + 1 + k))
     D = 1
+    E = [1] * (k + 1)  # the determinant each row was last written at
 
     while True:
         rq = min(T[k])  # the right-hand side, the value, is never negative
@@ -215,26 +219,33 @@ def solve_covering_lp(lp: CoveringLp) -> LpSolution:
                 p = i
         if p < 0:
             raise LpInternalError("unbounded LP; impossible for a covering instance")
-        # Integer-preserving pivot: row p stays, every other row i becomes
-        # (a*T[i] - T[i][q]*T[p]) / D, an exact division; then D = a.
-        Tp, a = T[p], T[p][q]
+        # Integer-preserving pivot that rewrites only the rows it changes.
+        # Row i holds E[i] times its row of B^-1 [A | I | b], and D times any
+        # such row is integral.  Row p is brought to D and stays.  Each other
+        # row with f = T[i][q] != 0 becomes (a*T[i] - f*T[p]) / E[i], which is
+        # a times its new row, so the division is exact.  A row with f == 0
+        # is unchanged by the pivot and keeps its E[i].
+        Tp = T[p]
+        if E[p] != D:
+            Tp = T[p] = [x * D // E[p] for x in Tp]
+        a = Tp[q]
         for i in range(k + 1):
-            if i == p:
-                continue
-            Ti, f = T[i], T[i][q]
-            if f:
-                T[i] = [(a * x - f * y) // D for x, y in zip(Ti, Tp)]
-            elif a != D:  # with a == D the row is unchanged
-                T[i] = [a * x // D for x in Ti]
+            f = T[i][q]
+            if f and i != p:
+                e = E[i]
+                T[i] = [(a * x - f * y) // e for x, y in zip(T[i], Tp)]
+                E[i] = a
         basis[p] = q
-        D = a
+        E[p] = D = a
 
     # y_S is the right-hand side of its row; x_v is the reduced cost of s_v.
+    # Every pivot rewrites the objective row (its entry in column q is < 0),
+    # so it is over D.
     zero = Fraction(0)
     y = [zero] * m
     for i, j in enumerate(basis):
         if j < m:
-            y[j] = Fraction(T[i][m], D)
+            y[j] = Fraction(T[i][m], E[i])
     x = [zero] * n
     for i, v in enumerate(used):
         x[v] = Fraction(T[k][m + 1 + i], D)

@@ -156,6 +156,18 @@ def test_family_input_rejected_where_one_graph_is_needed(tmp_path, capsys, argv,
         assert code == 2 and out == "" and message in err
 
 
+@pytest.mark.parametrize("command, hint", [
+    ("dimf", "use sdimf/sdim"),
+    ("dim", "use sdimf/sdim"),
+    ("twins", "twins takes one graph"),
+    ("profile", "profile takes one graph"),
+])
+def test_family_rejection_hint_fits_the_command(capsys, command, hint):
+    code, out, err = run(capsys, command, "--spec", "star_family(5)")
+    assert code == 2 and out == ""
+    assert err == f"error: spec 'star_family(5)' produces a family; {hint}\n"
+
+
 @pytest.mark.parametrize(
     "source, message",
     [

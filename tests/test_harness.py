@@ -55,6 +55,12 @@ def test_budget_rejects_negative_counts():
     assert Budget.parse(["seed=-5", "n=0"]).get("seed", 7) == -5
 
 
+@pytest.mark.parametrize("value", [2.7, "abc", True, None])
+def test_budget_rejects_non_integer_values(value):
+    with pytest.raises(ValueError, match=f"budget n must be an integer, got {re.escape(repr(value))}"):
+        run_suite("prop12_paths", {"n": value})
+
+
 def test_the_ab_budget_is_capped_at_6():
     assert run_suite("unicyclic_table", {"ab": 9}).checks == run_suite(
         "unicyclic_table", {"ab": 6}).checks

@@ -116,14 +116,14 @@ def test_rational_round_trip():
     assert format_rational(Fraction(3, 2)) == "3/2"
 
 
-def cover_instances():
+def cover_instances(max_n=7, max_m=10, max_size=7):
     @st.composite
     def build(draw):
-        n = draw(st.integers(1, 7))
-        m = draw(st.integers(1, 10))
+        n = draw(st.integers(1, max_n))
+        m = draw(st.integers(1, max_m))
         sets = []
         for _ in range(m):
-            size = draw(st.integers(1, n))
+            size = draw(st.integers(1, min(max_size, n)))
             sets.append(frozenset(draw(st.permutations(range(n)))[:size]))
         return CoveringLp(n, sets)
 
@@ -316,4 +316,19 @@ def test_variables_in_no_cover_set_leave_the_solve_unchanged(make):
 @given(cover_instances())
 @settings(max_examples=80, deadline=None)
 def test_solve_matches_the_reference_on_random_instances(lp):
+    assert_solve_matches_the_reference(lp)
+
+
+@pytest.mark.parametrize("spec", ["star(22)", "fig5_tree(12)", "wheel(20)"])
+def test_solve_matches_the_reference_where_pivots_skip_most_rows(spec):
+    # Most pivots here meet a 0 in most rows, so those rows lag behind D
+    # (star(22): 126 of the 175 rows a full rewrite would touch).
+    assert_solve_matches_the_reference(lp_of(spec))
+
+
+@given(cover_instances(max_n=14, max_m=30, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_solve_matches_the_reference_on_sparse_instances(lp):
+    # Up to 30 sets of 1-3 of up to 14 variables: most rows hold a 0 in the
+    # entering column, and many lag over several pivots before they change.
     assert_solve_matches_the_reference(lp)
