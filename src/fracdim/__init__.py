@@ -10,6 +10,7 @@ from .graph import (
     DistanceMatrix,
     Graph,
     GraphError,
+    GraphFamily,
     ParseError,
     all_pairs_distances,
     complement,
@@ -48,7 +49,6 @@ from .metric import (
 from .dimension import (
     BoundsReport,
     DimensionResult,
-    GraphFamily,
     SandwichViolation,
     bounds_report,
     fractional_dimension,

@@ -24,11 +24,11 @@ import sys
 from decimal import MAX_PREC, Context, Decimal
 from fractions import Fraction
 
-from .graph import Graph, GraphError, ParseError, _parse_blocks, format_graph
+from .graph import (Graph, GraphError, GraphFamily, ParseError, _parse_input,
+                    format_family_file, format_graph)
 from .lp import LpInternalError, format_rational
 from .metric import tree_profile, twin_partition
 from .dimension import (
-    GraphFamily,
     SandwichViolation,
     bounds_report,
     simultaneous_dimension,
@@ -45,29 +45,6 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _family(n: int, blocks: list[list]) -> GraphFamily:
-    (_, line, head), *named = blocks
-    if head:
-        raise ParseError(f"edge before any 'graph <name>' block at line {line}")
-    if not named:
-        raise ParseError("family file needs at least one 'graph <name>' block")
-    return GraphFamily([Graph(n, edges) for _, _, edges in named], [name for name, _, _ in named])
-
-
-def parse_family_file(text: str) -> GraphFamily:
-    """Parse the family format: ``n <count>`` then ``graph <name>`` blocks."""
-    return _family(*_parse_blocks(text))
-
-
-def format_family_file(fam: GraphFamily) -> str:
-    lines = [f"n {fam.n}"]
-    for i, g in enumerate(fam.members):
-        name = fam.names[i] if fam.names else f"G{i + 1}"
-        lines.append(f"graph {name}")
-        lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
-
-
 def _load(args) -> GraphFamily:
     """The spec or the file of a command as a family: a graph is the family
     of one, or with ``--with-complement`` the pair of it and its complement."""
@@ -78,8 +55,7 @@ def _load(args) -> GraphFamily:
     elif args.input is None:
         raise ParseError("give an input file or --spec")
     else:
-        n, blocks = _parse_blocks(_read_text(args.input))
-        obj = _family(n, blocks) if len(blocks) > 1 else Graph(n, blocks[0][2])
+        obj = _parse_input(_read_text(args.input))
     if isinstance(obj, Graph):
         return with_complement(obj) if args.with_complement else GraphFamily([obj])
     if not args.family:

@@ -11,41 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .graph import Graph
+from .graph import Graph, GraphFamily
 from .lp import CoveringLp, _minimal_masks, min_hitting_set, solve_covering_lp
+from .metric import _minimal_resolvers
 
 
 class SandwichViolation(RuntimeError):
     """The proved bound chain failed; this always indicates an engine bug."""
-
-
-@dataclass(frozen=True)
-class GraphFamily:
-    """Non-empty list of graphs on a common vertex set (k = 1 is allowed)."""
-
-    n: int
-    members: tuple[Graph, ...]
-    names: tuple[str, ...] | None
-
-    def __init__(self, members: Iterable[Graph], names: Sequence[str] | None = None):
-        members = tuple(members)
-        if not members:
-            raise ValueError("a graph family needs at least one member")
-        n = members[0].n
-        if any(g.n != n for g in members):
-            raise ValueError("family members must share one vertex count")
-        if names is not None:
-            names = tuple(names)
-            if len(names) != len(members):
-                raise ValueError("one name per member, please")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "names", names)
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -71,26 +45,22 @@ class BoundsReport:
 
 def _member_masks(fam: GraphFamily) -> list[tuple[int, ...]]:
     """Each member's minimal resolver masks, in order of first occurrence."""
-    if fam.n < 2:
-        raise ValueError("dimension computations need at least two vertices")
-    return [g._minimal_resolvers for g in fam.members]
+    return [_minimal_resolvers(g) for g in fam.members]
 
 
-def _minimal_union(systems: Sequence[Sequence[int]]) -> Sequence[int]:
-    """The minimal masks of the union of minimal systems, in order of first
-    occurrence.
+def _pooled(n: int, systems: Sequence[Sequence[int]]) -> CoveringLp:
+    """The covering instance on n vertices over the minimal masks of the
+    union of minimal systems, in order of first occurrence; one system is
+    taken as it is.
 
     A pooled set is minimal iff it is minimal in each system that has it, so
     this equals the minimal masks of the systems they were reduced from.
     """
+    if n < 2:
+        raise ValueError("dimension computations need at least two vertices")
     if len(systems) == 1:
-        return systems[0]
-    return _minimal_masks(dict.fromkeys(chain.from_iterable(systems)))
-
-
-def _pooled(fam: GraphFamily) -> CoveringLp:
-    """The covering instance over the union of the members' minimal masks."""
-    return CoveringLp._from_masks(fam.n, _minimal_union(_member_masks(fam)))
+        return CoveringLp._from_masks(n, systems[0])
+    return CoveringLp._from_masks(n, _minimal_masks(dict.fromkeys(chain.from_iterable(systems))))
 
 
 def joint_cover_sets(fam: GraphFamily) -> list[frozenset[int]]:
@@ -99,7 +69,7 @@ def joint_cover_sets(fam: GraphFamily) -> list[frozenset[int]]:
     One set per distinct minimal resolver set, in the order of its first
     occurrence over (member, lexicographic pair).
     """
-    return list(_pooled(fam).cover_sets)
+    return list(_pooled(fam.n, _member_masks(fam)).cover_sets)
 
 
 def _solve(lp: CoveringLp) -> DimensionResult:
@@ -114,7 +84,7 @@ def fractional_dimension(g: Graph) -> DimensionResult:
 
 def simultaneous_fractional_dimension(fam: GraphFamily) -> DimensionResult:
     """Sd_f of the family; equals fractional_dimension for k = 1."""
-    return _solve(_pooled(fam))
+    return _solve(_pooled(fam.n, _member_masks(fam)))
 
 
 def metric_dimension(g: Graph) -> int:
@@ -124,7 +94,7 @@ def metric_dimension(g: Graph) -> int:
 
 def simultaneous_dimension(fam: GraphFamily) -> int:
     """Sd of the family: minimum simultaneous resolving-set cardinality."""
-    return len(min_hitting_set(_pooled(fam)))
+    return len(min_hitting_set(_pooled(fam.n, _member_masks(fam))))
 
 
 def bounds_report(fam: GraphFamily) -> BoundsReport:
@@ -132,8 +102,8 @@ def bounds_report(fam: GraphFamily) -> BoundsReport:
     if len(fam.members) < 2:
         raise ValueError("bounds reports are for families with k >= 2")
     members = _member_masks(fam)
-    per_member = tuple(_solve(CoveringLp._from_masks(fam.n, ms)).value for ms in members)
-    lp = CoveringLp._from_masks(fam.n, _minimal_union(members))
+    per_member = tuple(_solve(_pooled(fam.n, [ms])).value for ms in members)
+    lp = _pooled(fam.n, members)
     pooled = _solve(lp)
     sd = len(min_hitting_set(lp))
     report = BoundsReport(

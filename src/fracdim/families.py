@@ -9,12 +9,12 @@ the twin structure they must exhibit.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
-from .graph import Graph, complement, is_connected
-from .dimension import GraphFamily
+from .graph import Graph, GraphFamily, complement, is_connected
 
 _M64 = (1 << 64) - 1
 
@@ -455,15 +455,11 @@ def random_tree(n: int, seed: int) -> Graph:
         raise ValueError("random_tree needs n >= 1")
     if n == 1:
         return Graph(1, [])
-    if n == 2:
-        return Graph(2, [(0, 1)])
     rng = SplitMix64(seed)
     seq = [rng.below(n) for _ in range(n - 2)]
     degree = [1] * n
     for v in seq:
         degree[v] += 1
-    import heapq
-
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
     edges = []

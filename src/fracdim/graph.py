@@ -1,7 +1,9 @@
-"""Simple undirected graphs and their distances.
+"""Simple undirected graphs, families of them, their two text formats, and
+their distances.
 
-Vertices are dense integers 0..n-1.  Graphs are immutable after
-construction and safe to share; every operation here is a pure function.
+Vertices are dense integers 0..n-1.  Graphs and families are immutable
+after construction and safe to share; every operation here is a pure
+function.
 Every distance comes from one source, the bitmask ball layers of
 ``_ball_layers``.  Unreachable vertex pairs get the distance ``INF``, which
 compares equal only to itself and greater than every finite distance.
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .lp import _bits
 
@@ -65,12 +67,32 @@ class Graph:
     def _edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
 
-    @cached_property
-    def _minimal_resolvers(self) -> tuple[int, ...]:
-        """The minimal resolver masks (``metric._minimal_resolvers``), built once."""
-        from .metric import _minimal_resolvers  # metric imports this module
 
-        return _minimal_resolvers(self)
+@dataclass(frozen=True)
+class GraphFamily:
+    """Non-empty list of graphs on a common vertex set (k = 1 is allowed)."""
+
+    n: int
+    members: tuple[Graph, ...]
+    names: tuple[str, ...] | None
+
+    def __init__(self, members: Iterable[Graph], names: Sequence[str] | None = None):
+        members = tuple(members)
+        if not members:
+            raise ValueError("a graph family needs at least one member")
+        n = members[0].n
+        if any(g.n != n for g in members):
+            raise ValueError("family members must share one vertex count")
+        if names is not None:
+            names = tuple(names)
+            if len(names) != len(members):
+                raise ValueError("one name per member, please")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "names", names)
+
+    def __len__(self) -> int:
+        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -152,6 +174,41 @@ def format_graph(g: Graph) -> str:
     """Inverse of parse_graph: emit the edge-list format."""
     lines = [f"n {g.n}"]
     lines.extend(f"{u} {v}" for u, v in g.edges)
+    return "\n".join(lines) + "\n"
+
+
+def _family(n: int, blocks: list[list]) -> GraphFamily:
+    (_, line, head), *named = blocks
+    if head:
+        raise ParseError(f"edge before any 'graph <name>' block at line {line}")
+    if not named:
+        raise ParseError("family file needs at least one 'graph <name>' block")
+    return GraphFamily([Graph(n, edges) for _, _, edges in named], [name for name, _, _ in named])
+
+
+def parse_family_file(text: str) -> GraphFamily:
+    """Parse the family format: ``n <count>`` then ``graph <name>`` blocks."""
+    return _family(*_parse_blocks(text))
+
+
+def _parse_input(text: str | bytes) -> Graph | GraphFamily:
+    """Either format: a family iff some ``graph <name>`` line is present."""
+    n, blocks = _parse_blocks(text)
+    return _family(n, blocks) if len(blocks) > 1 else Graph(n, blocks[0][2])
+
+
+def format_family_file(fam: GraphFamily) -> str:
+    """Inverse of parse_family_file; unnamed members are written G1, G2, ...
+
+    A name must be the one token the reader takes after ``graph``.
+    """
+    lines = [f"n {fam.n}"]
+    for i, g in enumerate(fam.members):
+        name = fam.names[i] if fam.names else f"G{i + 1}"
+        if name.split() != [name]:
+            raise ValueError(f"member {i + 1} name {name!r} is empty or holds whitespace")
+        lines.append(f"graph {name}")
+        lines.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(lines) + "\n"
 
 

@@ -17,10 +17,11 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Callable, Collection, Iterator, Mapping, Sequence
 
-from .graph import Graph, complement, diameter
-from .lp import CoveringLp, format_rational
+from .graph import Graph, GraphFamily, complement, diameter
+from .lp import format_rational
 from .metric import (
     _isomorphic,
+    _minimal_resolvers,
     is_vertex_transitive,
     r_of,
     resolver_masks,
@@ -29,8 +30,7 @@ from .metric import (
 )
 from .dimension import (
     DimensionResult,
-    GraphFamily,
-    _minimal_union,
+    _pooled,
     _solve,
     bounds_report,
     simultaneous_dimension,
@@ -134,9 +134,9 @@ def _fmt(v: Fraction) -> str:
 class _Memo:
     """What one run_suite call has built and solved, so it does so once.
 
-    ``minimal`` holds the minimal resolver masks of each member graph by
-    (n, edges), so equal graphs built apart share them without keeping any
-    Graph alive, and
+    ``minimal``, the one cache of minimal resolver masks, holds those of each
+    member graph by (n, edges), so equal graphs built apart share them
+    without keeping any Graph alive, and
     ``solved`` each LP result by (n, pooled minimal masks), so a graph, a
     family and a diameter-2 pair {G, complement(G)} with one system share
     one solve.  The value depends only on the set of masks; the assignment
@@ -151,7 +151,7 @@ class _Memo:
         key = (g.n, g.edges)
         masks = self.minimal.get(key)
         if masks is None:
-            masks = self.minimal[key] = g._minimal_resolvers
+            masks = self.minimal[key] = _minimal_resolvers(g)
         return masks
 
 
@@ -163,15 +163,12 @@ _MEMO: ContextVar[_Memo | None] = ContextVar("fracdim_suite_memo", default=None)
 def _solved(members: Sequence[Graph]) -> DimensionResult:
     """The covering LP of the members' pooled system, solved once per
     distinct system in a suite run."""
-    n = members[0].n
-    if n < 2:
-        raise ValueError("dimension computations need at least two vertices")
     memo = _MEMO.get()
-    pooled = _minimal_union([memo.masks(g) for g in members])
-    key = (n, frozenset(pooled))
+    lp = _pooled(members[0].n, [memo.masks(g) for g in members])
+    key = (lp.n_vars, frozenset(lp.masks))
     res = memo.solved.get(key)
     if res is None:
-        res = memo.solved[key] = _solve(CoveringLp._from_masks(n, pooled))
+        res = memo.solved[key] = _solve(lp)
     return res
 
 

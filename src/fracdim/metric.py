@@ -137,7 +137,6 @@ def _minimal_resolvers(g: Graph) -> tuple[int, ...]:
     """The minimal resolver masks of g, in order of first occurrence over the
     pairs.  Pairs that every vertex resolves give V, which is minimal only
     when it is the one set, so they are folded once (``_pair_masks``).
-    ``Graph._minimal_resolvers`` caches this per graph.
     """
     return tuple(_minimal_masks(dict.fromkeys(_pair_masks(g, True))))
 
@@ -184,7 +183,7 @@ def r_of(g: Graph) -> int:
     if g.n < 2:
         raise ValueError("r(G) needs at least two vertices")
     # A smallest resolver set has no proper subset among them: it is minimal.
-    return min(m.bit_count() for m in g._minimal_resolvers)
+    return min(m.bit_count() for m in _minimal_resolvers(g))
 
 
 def tree_profile(g: Graph) -> TreeProfile:

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from fracdim.cli import build_parser, main, parse_family_file, format_family_file
+from fracdim.cli import build_parser, main
 from fracdim.families import generate
-from fracdim.graph import ParseError
+from fracdim.graph import ParseError, format_family_file, parse_family_file
 
 
 def run(capsys, *argv):

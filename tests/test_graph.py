@@ -1,3 +1,4 @@
+import re
 from collections import deque
 from itertools import combinations
 
@@ -9,16 +10,20 @@ from fracdim.graph import (
     DistanceMatrix,
     Graph,
     GraphError,
+    GraphFamily,
     ParseError,
+    _parse_input,
     all_pairs_distances,
     complement,
     diameter,
+    format_family_file,
     format_graph,
     is_connected,
     is_tree,
     parse_graph,
 )
-from fracdim.families import generate
+from fracdim.families import generate, known_kinds
+from test_oracles import _SPECS_BY_KIND
 
 
 def test_parse_path_on_three():
@@ -62,6 +67,27 @@ def test_parse_comments_and_blanks():
 def test_format_round_trip():
     g = generate("wheel(6)")
     assert parse_graph(format_graph(g)) == g
+
+
+def test_every_generator_kind_survives_a_file_round_trip():
+    assert sorted(_SPECS_BY_KIND) == sorted(known_kinds())
+    for spec, *_ in _SPECS_BY_KIND.values():
+        obj = generate(spec)
+        if isinstance(obj, Graph):
+            assert _parse_input(format_graph(obj)) == obj, spec
+            continue
+        back = _parse_input(format_family_file(obj))
+        assert isinstance(back, GraphFamily) and back.n == obj.n, spec
+        assert back.members == obj.members, spec
+        assert back.names == (obj.names or tuple(f"G{i + 1}" for i in range(len(obj)))), spec
+
+
+@pytest.mark.parametrize("name", ["a b", "", "x\n0 3"])
+def test_family_writer_rejects_names_its_reader_cannot_take(name):
+    # Read back, "x\n0 3" would turn the path into a cycle as member x.
+    p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match=re.escape(f"member 2 name {name!r}")):
+        format_family_file(GraphFamily([p4, p4], ["c", name]))
 
 
 def test_graph_validation():

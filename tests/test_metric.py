@@ -8,6 +8,7 @@ from fracdim.lp import _minimal_masks
 from fracdim.metric import (
     MajorVertex,
     TreeProfile,
+    _minimal_resolvers,
     _pair_masks,
     constraint_system,
     family_twin_multiplicity,
@@ -19,7 +20,7 @@ from fracdim.metric import (
     twin_multiplicities,
     twin_partition,
 )
-from fracdim.dimension import GraphFamily, _member_masks, _minimal_union
+from fracdim.dimension import GraphFamily, _member_masks, _pooled
 from fracdim.families import generate
 from test_graph import assert_distances_match_bfs, bfs_matrix
 
@@ -91,7 +92,7 @@ def test_minimal_resolvers_match_the_every_pair_reference():
         pairs = list(combinations(range(n), 2))
         for code in range(1 << len(pairs)):
             g = Graph(n, [p for i, p in enumerate(pairs) if code >> i & 1])
-            assert list(g._minimal_resolvers) == every_pair_minimal([g]), (n, code)
+            assert list(_minimal_resolvers(g)) == every_pair_minimal([g]), (n, code)
     specs = [f"random_tree({n},{n * 7})" for n in (2, 3, 9, 40, 120)]
     specs += [f"random_unicyclic({n},{n * 5})" for n in (3, 8, 30, 61)]
     specs += [f"cycle({n})" for n in (3, 4, 9, 10, 31, 32)]
@@ -100,7 +101,7 @@ def test_minimal_resolvers_match_the_every_pair_reference():
     for spec in specs:
         fam = generate(spec)
         members = getattr(fam, "members", (fam,))
-        assert list(_minimal_union(_member_masks(GraphFamily(members)))) == \
+        assert list(_pooled(fam.n, _member_masks(GraphFamily(members))).masks) == \
             every_pair_minimal(members), spec
 
 
