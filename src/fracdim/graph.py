@@ -106,11 +106,18 @@ class DistanceMatrix:
         return self.rows[i]
 
 
+def _is_decimal(token: str) -> bool:
+    """Only ASCII digits, the tokens the writers emit: ``int`` also takes a
+    sign, ``_`` separators and non-ASCII digits."""
+    return token.isascii() and token.isdigit()
+
+
 def _parse_blocks(text: str | bytes) -> tuple[int, list[list]]:
     """Read the edge-list and family formats: header ``n <count>``, then
     ``u v`` edge lines, optionally grouped under ``graph <name>`` lines.
 
-    Blank lines and ``#`` lines are ignored; errors name the 1-based line.
+    Counts and vertex ids are ASCII decimal digits.  Blank lines and ``#``
+    lines are ignored; errors name the 1-based line.
     Returns the vertex count and the blocks as ``[name, line, edges]``,
     with the edges as dict keys in file order.  The first block holds the
     edges before any ``graph`` line, with name None and the line of its
@@ -128,10 +135,9 @@ def _parse_blocks(text: str | bytes) -> tuple[int, list[list]]:
         if n is None:
             if len(parts) != 2 or parts[0] != "n":
                 raise ParseError(f"expected header 'n <count>' at line {lineno}")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad vertex count at line {lineno}") from None
+            if not _is_decimal(parts[1]):
+                raise ParseError(f"bad vertex count at line {lineno}")
+            n = int(parts[1])
             if n < 1:
                 raise ParseError(f"vertex count must be >= 1 at line {lineno}")
             continue
@@ -140,10 +146,9 @@ def _parse_blocks(text: str | bytes) -> tuple[int, list[list]]:
                 raise ParseError(f"expected 'graph <name>' at line {lineno}")
             blocks.append([parts[1], lineno, {}])
             continue
-        try:
-            u, v = map(int, parts)  # exactly two integers
-        except ValueError:
-            raise ParseError(f"malformed edge line at line {lineno}: {line!r}") from None
+        if len(parts) != 2 or not all(map(_is_decimal, parts)):
+            raise ParseError(f"malformed edge line at line {lineno}: {line!r}")
+        u, v = map(int, parts)
         if u == v:
             raise ParseError(f"self-loop at line {lineno}")
         if not (0 <= u < n and 0 <= v < n):

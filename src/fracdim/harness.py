@@ -35,7 +35,7 @@ from .dimension import (
     bounds_report,
     simultaneous_dimension,
 )
-from .families import SplitMix64, generate, graph_code
+from .families import SplitMix64, generate, graph_code, graph_index
 from .oracles import has_fixed_point_free_twin_permutation, oracle_dimf, oracle_sdimf
 
 DEFAULT_SEED = 20240801
@@ -490,9 +490,10 @@ def _suite_thm8_characterizations(budget: Budget) -> Suite:
     cap = min(budget.get("exhaustive_n", 5), 6)
     for n in range(2, cap + 1):
         count = 1 << n * (n - 1) // 2
+        codes = {f"graph_index({n},{code})": code for code in range(count)}
         yield (f"n/2 and =1 characterizations on all {count} labeled graphs with n={n}",
-               *_batch([f"graph_index({n},{code})" for code in range(count)],
-                       lambda g: check(g, exhaustive=True)))
+               *_batch(codes, lambda g: check(g, exhaustive=True),
+                       lambda spec: graph_index(n, codes[spec])))
 
     samples = budget.get("samples", 60)
     size_cap = budget.get("n", 9)

@@ -133,14 +133,18 @@ def _bits(mask: int) -> Iterator[int]:
 def _minimal_masks(distinct: Collection[int]) -> list[int]:
     """The masks of ``distinct`` (no repeats) that have no proper subset in it,
     in their order in ``distinct``.  A proper subset has fewer bits, so each
-    mask is tested only against the kept masks of fewer bits."""
+    mask is tested only against the kept masks of fewer bits, and the scan
+    stops at the first of them that lies inside it."""
     minimal: list[int] = []
     fewer: list[int] = []  # the kept masks of fewer bits than m
     size = 0
     for m in sorted(distinct, key=int.bit_count):
         if m.bit_count() != size:
             size, fewer = m.bit_count(), minimal[:]
-        if not any(k & m == k for k in fewer):
+        for k in fewer:
+            if k & m == k:
+                break
+        else:
             minimal.append(m)
     keep = set(minimal)
     return [m for m in distinct if m in keep]
@@ -166,7 +170,9 @@ def _lex_less(Ti, Tk, q, m) -> bool:
     cross-multiplication: that is each row from column m on, the right-hand
     side b and then the slack columns, which hold B^-1 (scaled by the row's
     own determinant, a positive factor the ratio cancels).  The rows of B^-1
-    are independent, so two distinct rows never tie.
+    are independent, so two distinct rows never tie.  The solver settles the
+    first comparison, the right-hand side's, itself and calls this only when
+    it ties.
     """
     ti, tk = Ti[q], Tk[q]
     for j in range(m, len(Ti)):
@@ -183,6 +189,9 @@ def solve_covering_lp(lp: CoveringLp) -> LpSolution:
     column.  Any other x_v is 0: its row would stay D * e_v, and its slack
     column, 0 outside that row with reduced cost 0, would never enter, leave
     or decide a ratio test, so the pivots are those of the full tableau.
+    Each pivot reads the entering column once, for the ratio test and the
+    row updates; the ratio test settles on the right-hand-side ratio first
+    and calls ``_lex_less`` only on a tie.
     """
     n, masks = lp.n_vars, lp.masks
     m = len(masks)
@@ -213,27 +222,38 @@ def solve_covering_lp(lp: CoveringLp) -> LpSolution:
         if rq >= 0:
             break
         q = T[k].index(rq)
+        col = [Ti[q] for Ti in T]
         p = -1
         for i in range(k):
-            if T[i][q] > 0 and (p < 0 or _lex_less(T[i], T[p], q, m)):
-                p = i
+            f = col[i]
+            if f > 0:
+                if p < 0:
+                    p = i
+                    continue
+                # The right-hand-side ratios decide unless they tie.
+                lhs, rhs = T[i][m] * col[p], T[p][m] * f
+                if lhs < rhs or lhs == rhs and _lex_less(T[i], T[p], q, m):
+                    p = i
         if p < 0:
             raise LpInternalError("unbounded LP; impossible for a covering instance")
         # Integer-preserving pivot that rewrites only the rows it changes.
         # Row i holds E[i] times its row of B^-1 [A | I | b], and D times any
         # such row is integral.  Row p is brought to D and stays.  Each other
         # row with f = T[i][q] != 0 becomes (a*T[i] - f*T[p]) / E[i], which is
-        # a times its new row, so the division is exact.  A row with f == 0
-        # is unchanged by the pivot and keeps its E[i].
+        # a times its new row, so the division is exact, and skipped when
+        # E[i] is 1.  A row with f == 0 is unchanged by the pivot and keeps
+        # its E[i].
         Tp = T[p]
         if E[p] != D:
             Tp = T[p] = [x * D // E[p] for x in Tp]
         a = Tp[q]
-        for i in range(k + 1):
-            f = T[i][q]
+        for i, f in enumerate(col):
             if f and i != p:
                 e = E[i]
-                T[i] = [(a * x - f * y) // e for x, y in zip(T[i], Tp)]
+                if e == 1:
+                    T[i] = [a * x - f * y for x, y in zip(T[i], Tp)]
+                else:
+                    T[i] = [(a * x - f * y) // e for x, y in zip(T[i], Tp)]
                 E[i] = a
         basis[p] = q
         E[p] = D = a
@@ -243,12 +263,13 @@ def solve_covering_lp(lp: CoveringLp) -> LpSolution:
     # so it is over D.
     zero = Fraction(0)
     y = [zero] * m
-    for i, j in enumerate(basis):
-        if j < m:
-            y[j] = Fraction(T[i][m], E[i])
+    for j, Ti, e in zip(basis, T, E):
+        if j < m and Ti[m]:
+            y[j] = Fraction(Ti[m], e)
     x = [zero] * n
-    for i, v in enumerate(used):
-        x[v] = Fraction(T[k][m + 1 + i], D)
+    for v, c in zip(used, T[k][m + 1:]):
+        if c:
+            x[v] = Fraction(c, D)
     sol = LpSolution(Fraction(T[k][m], D), tuple(x), tuple(y) + (zero,) * n)
     verify_solution(lp, sol)
     return sol

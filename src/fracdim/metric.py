@@ -83,15 +83,19 @@ def _distance_rows(g: Graph) -> tuple[list[int], int]:
 
     Unreachable vertices get the code n, which no distance has.  Row x sums
     its ball layers L_x(d) (``graph._ball_layers``) times spread(d), the sum
-    of 1 << i*n over bits i of d.
+    of 1 << i*n over bits i of d.  The spread table is built by doubling: the
+    codes below 2^(i+1) are those below 2^i, each with and without bit i.
     """
     n = g.n
     layers, balls = _ball_layers(g)
     full = (1 << n) - 1
     top = n if any(b != full for b in balls) else max(map(len, layers))
     lanes = 1 << (top.bit_length() - 1).bit_length()
-    spread = [sum(1 << i * n for i in range(lanes) if d >> i & 1) for d in range(top + 1)]
-    return [sum(map(mul, ls, spread[1:])) + (full ^ b) * spread[-1]
+    spread = [0]
+    for i in range(top.bit_length()):
+        spread += [s | 1 << i * n for s in spread]
+    steps, far = spread[1:], spread[top]
+    return [sum(map(mul, ls, steps)) + (full ^ b) * far
             for ls, b in zip(layers, balls)], lanes
 
 

@@ -22,6 +22,7 @@ from fracdim.graph import (
     is_tree,
     parse_graph,
 )
+from fracdim.cli import main
 from fracdim.families import generate, known_kinds
 from test_oracles import _SPECS_BY_KIND
 
@@ -52,6 +53,27 @@ def test_parse_errors():
         parse_graph("n 3\n0 1 2")
     with pytest.raises(ParseError, match="header"):
         parse_graph("0 1\n1 2")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n 13\n0 1_2\n", "malformed edge line at line 2: '0 1_2'"),
+    ("n 1_0\n0 1\n", "bad vertex count at line 1"),
+    ("n ３\n", "bad vertex count at line 1"),  # fullwidth 3
+    ("n 3\n0 ١\n", "malformed edge line at line 2"),  # Arabic-Indic 1
+    ("n +4\n", "bad vertex count at line 1"),
+    ("n -1\n", "bad vertex count at line 1"),
+    ("n 3\n-1 0\n", "malformed edge line at line 2: '-1 0'"),
+    ("n 3\n0 +2\n", "malformed edge line at line 2: '0 +2'"),
+    ("n 0\n", "vertex count must be >= 1 at line 1"),
+])
+def test_counts_and_vertex_ids_are_ascii_digits_only(tmp_path, capsys, text, message):
+    # int() takes each of these tokens; the writers emit none of them.
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_graph(text)
+    path = tmp_path / "g.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["dimf", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_parse_graph_rejects_family_files():

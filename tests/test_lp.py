@@ -9,6 +9,7 @@ from fracdim.lp import (
     LpError,
     LpSolution,
     _bits,
+    _minimal_masks,
     format_rational,
     min_hitting_set,
     parse_rational,
@@ -135,6 +136,21 @@ def cover_instances(max_n=7, max_m=10, max_size=7):
 def test_reduce_sets_keeps_each_first_set_with_no_proper_subset(sets):
     firsts = [i for i, s in enumerate(sets) if s not in sets[:i]]
     assert reduce_sets(sets) == [i for i in firsts if not any(t < sets[i] for t in sets)]
+
+
+_masks16 = st.one_of(
+    st.integers(1, 15),  # few low bits: repeats and subsets of wider masks
+    st.integers(1, (1 << 16) - 1),
+    st.frozensets(st.integers(0, 15), min_size=1).map(lambda s: sum(1 << v for v in s)),
+)
+
+
+@given(st.lists(_masks16, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_minimal_masks_keeps_each_mask_with_no_proper_subset_in_order(ms):
+    distinct = dict.fromkeys(ms)
+    assert _minimal_masks(distinct) == [
+        m for m in distinct if not any(k != m and k & m == k for k in ms)]
 
 
 @given(cover_instances())

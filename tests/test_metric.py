@@ -3,11 +3,12 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracdim.graph import Graph, complement, diameter, is_connected
+from fracdim.graph import INF, Graph, complement, diameter, is_connected
 from fracdim.lp import _minimal_masks
 from fracdim.metric import (
     MajorVertex,
     TreeProfile,
+    _distance_rows,
     _minimal_resolvers,
     _pair_masks,
     constraint_system,
@@ -75,6 +76,20 @@ def test_resolver_masks_match_definition_at_lane_boundaries(n):
             for y in range(x + 1, n)
         ]
         assert list(resolver_masks(g)) == want, g
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 16, 17, 18, 33, 34, 65, 66, 130])
+def test_distance_rows_hold_every_bfs_distance_code(n):
+    # Bit i of the code of d(x, z), n if z is out of reach, at bit i*n + z of
+    # row x, over the least power-of-two number of lanes that holds them all.
+    for g in lane_boundary_graphs(n):
+        codes = [[n if d == INF else d for d in row] for row in bfs_matrix(g).rows]
+        lanes = 1
+        while 1 << lanes <= max(map(max, codes)):
+            lanes *= 2
+        rows = [sum((c >> i & 1) << i * n + z for z, c in enumerate(cs) for i in range(lanes))
+                for cs in codes]
+        assert _distance_rows(g) == (rows, lanes), g
 
 
 def test_resolver_masks_of_one_vertex_is_empty():
